@@ -27,6 +27,14 @@ DEFAULT_FACET_ORDER = 5
 # domains' bases develop O(1) interface jumps that the global penalty term
 # punishes; a huge one-sided penalty makes the weak imposition effectively
 # strong without changing the assembly path.
+#
+# The price is conditioning: the pinned local Stokes systems are close to
+# singular in floating point.  On test2_dbc at 8000 cells, domain 1 has
+# cond(K) ~ 1.4e19; a 1e-16 relative change of the right-hand side moves its
+# snapshots by 3.4 %, dropping the matrix's explicit zeros (which only changes
+# the COLAMD ordering) by 12 %, and solving both directions as one 2n-column
+# block with the same LU by 0.15 %.  Snapshot solves therefore keep a fixed
+# ordering and one solve call per direction.
 DATA_PENALTY = 1e10
 
 

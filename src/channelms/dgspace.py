@@ -45,10 +45,6 @@ class DofMaps:
         return 3 * cell + np.arange(3)
 
 
-def build_spaces(mesh: Mesh) -> DofMaps:
-    return DofMaps(mesh.n_cells)
-
-
 def dof_counts(n_cells: int, d: int = 2) -> tuple[int, int]:
     """(flow, concentration) fine dof counts for an n_cells mesh in dimension d."""
     return n_cells * (d * (d + 1) + 1), n_cells * (d + 1)

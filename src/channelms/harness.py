@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.transport_velocity not in ("fine", "multiscale"):
             raise ValueError(f"unknown transport_velocity {self.transport_velocity!r}")
+        if self.snapshot_mu is not None and self.snapshot_mu not in self.mu_list:
+            raise ValueError("snapshot_mu must be one of mu_list")
 
     def channel_params(self) -> ChannelParams:
         return ChannelParams(
@@ -300,14 +302,17 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     u_ref = fine.flow.velocity_at(grid.n_steps)
     report_keys = dict(zip(fine.report, ("m10", "m20", "m30", "m40")))
 
-    # velocity phase: one space + coarse flow per M_u
+    # velocity phase: one build at the largest M_u; the modes are nested, so
+    # every smaller M_u is a truncation of it, followed by its coarse flow
     t0 = time.perf_counter()
+    vs_max = build_velocity_space(dz, partition, cfg.velocity_type,
+                                  cfg.mu_list[-1], cfg.mu, cfg.gamma_u,
+                                  threads=cfg.threads)
     flows = {}
     for Mu in cfg.mu_list:
-        vs = build_velocity_space(dz, partition, cfg.velocity_type, Mu,
-                                  cfg.mu, cfg.gamma_u, threads=cfg.threads)
-        assert vs.reported_dof() == expected_flow_dof(cfg.velocity_type,
-                                                      cfg.n_domains, Mu)
+        vs = vs_max.truncate(Mu)
+        _check_dof("velocity", Mu, vs.reported_dof(),
+                   expected_flow_dof(cfg.velocity_type, cfg.n_domains, Mu))
         space = build_multiscale_space(dz, partition, vs, None)
         cf = solve_coarse_flow(space, project_flow(space, fine.flow_ops), grid,
                                ops=fine.flow_ops)
@@ -318,21 +323,21 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
 
     # u_ms for time+velocity snapshots: largest swept M_u unless overridden
     snap_mu = cfg.snapshot_mu if cfg.snapshot_mu is not None else cfg.mu_list[-1]
-    if snap_mu not in flows:
-        raise ValueError("snapshot_mu must be one of mu_list")
 
     t0 = time.perf_counter()
-    cspaces = {}
-    for Mc in cfg.mc_list:
-        kw = {}
-        if cfg.variant == "timevelocity":
-            kw = dict(u_ms=flows[snap_mu][1].final_velocity, tau=grid.tau)
-        cs = build_concentration_space(dz, partition, cfg.concentration_type,
-                                       Mc, cfg.bc_kind, cfg.variant,
+    kw = {}
+    if cfg.variant == "timevelocity":
+        kw = dict(u_ms=flows[snap_mu][1].final_velocity, tau=grid.tau)
+    cs_max = build_concentration_space(dz, partition, cfg.concentration_type,
+                                       cfg.mc_list[-1], cfg.bc_kind, cfg.variant,
                                        cfg.diffusion, cfg.alpha, cfg.gamma_c,
                                        threads=cfg.threads, **kw)
-        assert cs.reported_dof() == expected_transport_dof(
-            cfg.concentration_type, cfg.n_domains, Mc)
+    cspaces = {}
+    for Mc in cfg.mc_list:
+        cs = cs_max.truncate(Mc)
+        _check_dof("concentration", Mc, cs.reported_dof(),
+                   expected_transport_dof(cfg.concentration_type,
+                                          cfg.n_domains, Mc))
         cspaces[Mc] = cs
         _dump_eigen(cfg, f"eigen_c_{cfg.variant}_M{Mc}.csv", cs.eigen_rows)
     timings["concentration_basis"] = time.perf_counter() - t0
@@ -370,6 +375,12 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
 
     _write_outputs(cfg, report, fine, last_ok)
     return report
+
+
+def _check_dof(space: str, M: int, reported: int, expected: int):
+    if reported != expected:
+        raise RuntimeError(f"{space} space at M={M} reports {reported} coarse "
+                           f"dofs, the closed formula gives {expected}")
 
 
 def _dump_eigen(cfg: ExperimentConfig, name: str, eigen_rows):

@@ -23,8 +23,10 @@ class SpectralBasis:
     vectors: np.ndarray  # (M, n_fine) selected modes on fine dofs
 
 
-def spectral_reduce(snapshots: np.ndarray, A, S, M: int) -> SpectralBasis:
-    """Select the M smallest-eigenvalue modes of the snapshot space.
+def spectral_reduce(snapshots: np.ndarray, A, S,
+                    M: int | None = None) -> SpectralBasis:
+    """Select the M smallest-eigenvalue modes of the snapshot space, or every
+    mode up to the rank of the boundary Gram matrix when M is None.
 
     Each snapshot is first normalized to unit S-norm (conditioning only; the
     span is unchanged).  Raises if the boundary Gram matrix has rank < M.
@@ -46,7 +48,7 @@ def spectral_reduce(snapshots: np.ndarray, A, S, M: int) -> SpectralBasis:
     w, U = eigh(St)
     keep = w > GRAM_CUTOFF * max(w.max(), 0.0) if w.max() > 0 else np.zeros_like(w, bool)
     rank = int(keep.sum())
-    if M > rank:
+    if M is not None and M > rank:
         raise ValueError(
             f"requested {M} modes but the boundary Gram matrix has rank {rank} "
             f"of {len(w)} snapshots")

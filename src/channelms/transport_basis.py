@@ -12,9 +12,8 @@ one interior bubble per domain completes the space.
 from __future__ import annotations
 
 import logging
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -155,7 +154,8 @@ def spectral_reduce_concentration(dz: Discretization, partition: CoarsePartition
                                   snapshots: ConcentrationSnapshotSet,
                                   M: int | None, D: float,
                                   gamma_c: float) -> ConcentrationMsBasis:
-    """Diffusion-only eigenproblem selecting the M dominant snapshot modes."""
+    """Diffusion-only eigenproblem selecting the M dominant snapshot modes
+    (every mode up to the Gram rank when M is None)."""
     A, S = assemble_local_concentration_forms(dz, partition, snapshots.domain,
                                               D, gamma_c)
     if len(snapshots.snapshots) == 0:
@@ -163,18 +163,14 @@ def spectral_reduce_concentration(dz: Discretization, partition: CoarsePartition
                                     eigenvalues=np.zeros(0),
                                     vectors=np.zeros((0, A.shape[0])),
                                     local=snapshots.local)
-    basis = spectral_reduce(snapshots.snapshots, A, S,
-                            _cap(snapshots, A, S, M))
+    try:
+        basis = spectral_reduce(snapshots.snapshots, A, S, M)
+    except ValueError as exc:
+        raise ValueError(f"concentration basis on domain {snapshots.domain} "
+                         f"({snapshots.family} family), M={M}: {exc}") from exc
     return ConcentrationMsBasis(domain=snapshots.domain, family=snapshots.family,
                                 eigenvalues=basis.eigenvalues, vectors=basis.vectors,
                                 local=snapshots.local)
-
-
-def _cap(snapshots, A, S, M):
-    if M is not None:
-        return M
-    probe = spectral_reduce(snapshots.snapshots, A, S, 0)
-    return len(probe.eigenvalues)
 
 
 def interior_basis(dz: Discretization, partition: CoarsePartition, i: int,
@@ -209,10 +205,40 @@ class ConcentrationSpace:
     M: int | None
     bc_kind: str
     variant: str
-    bases: list
+    bases: list  # family bases, domain by domain (one per family each)
+    bubbles: list  # one interior bubble per domain
     R_c: sp.csr_matrix
     n_domains: int
     eigen_rows: list = field(default_factory=list)  # (domain, family, k, lam)
+
+    @classmethod
+    def stack(cls, kind: str, M: int | None, bc_kind: str, variant: str,
+              bases: list, bubbles: list, n_concentration: int
+              ) -> "ConcentrationSpace":
+        """Stack each domain's family modes followed by its bubble."""
+        per = len(bases) // len(bubbles)
+        rows, cols, vals, eigen_rows = [], [], [], []
+        offset = 0
+        for i, bubble in enumerate(bubbles):
+            for b in bases[i * per:(i + 1) * per]:
+                sd = b.local.scalar_dofs()
+                nb = len(b.vectors)
+                rows.append(np.repeat(offset + np.arange(nb), len(sd)))
+                cols.append(np.tile(sd, nb))
+                vals.append(b.vectors.ravel())
+                eigen_rows += [(b.domain, b.family, k, float(lam))
+                               for k, lam in enumerate(b.eigenvalues)]
+                offset += nb
+            rows.append(np.full(len(sd), offset))
+            cols.append(sd)
+            vals.append(bubble)
+            offset += 1
+        R_c = sp.coo_matrix((np.concatenate(vals),
+                             (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(offset, n_concentration)).tocsr()
+        return cls(kind=kind, M=M, bc_kind=bc_kind, variant=variant,
+                   bases=bases, bubbles=bubbles, R_c=R_c,
+                   n_domains=len(bubbles), eigen_rows=eigen_rows)
 
     @property
     def n_rows(self) -> int:
@@ -224,6 +250,24 @@ class ConcentrationSpace:
         if self.kind == "type1":
             return self.n_domains * (M + 1)
         return self.n_domains * (2 * M + 1)
+
+    def truncate(self, M: int) -> "ConcentrationSpace":
+        """The space of the first M modes of every domain and family plus
+        every bubble.  Modes are kept in ascending eigenvalue order, so the
+        spaces are nested and this equals a direct build at M.  A family
+        without snapshots (no wall facets) stays empty."""
+        if M == self.M:
+            return self
+        for b in self.bases:
+            if len(b.eigenvalues) and len(b.vectors) < M:
+                raise ValueError(
+                    f"concentration space holds {len(b.vectors)} modes on "
+                    f"domain {b.domain} ({b.family} family); cannot truncate "
+                    f"to M={M}")
+        return ConcentrationSpace.stack(
+            self.kind, M, self.bc_kind, self.variant,
+            [replace(b, vectors=b.vectors[:M]) for b in self.bases],
+            self.bubbles, self.R_c.shape[1])
 
 
 def build_concentration_space(dz: Discretization, partition: CoarsePartition,
@@ -242,12 +286,10 @@ def build_concentration_space(dz: Discretization, partition: CoarsePartition,
         for fam in families:
             snaps = concentration_snapshots(dz, partition, i, fam, bc_kind,
                                             variant, D, alpha, gamma_c, u_ms, tau)
-            want = M
-            if fam == "wall" and len(snaps.snapshots) == 0:
+            if len(snaps.snapshots) == 0:
                 log.warning("domain %d has no wall facets; wall family empty", i)
-                want = 0
             out.append(spectral_reduce_concentration(dz, partition, snaps,
-                                                     want, D, gamma_c))
+                                                     M, D, gamma_c))
         bubble = interior_basis(dz, partition, i, variant, D, gamma_c, u_ms, tau)
         return out, bubble
 
@@ -256,32 +298,10 @@ def build_concentration_space(dz: Discretization, partition: CoarsePartition,
             results = list(ex.map(run, range(partition.n_domains)))
     else:
         results = [run(i) for i in range(partition.n_domains)]
-
-    rows, cols, vals = [], [], []
-    bases, eigen_rows = [], []
-    offset = 0
-    for i, (fam_bases, bubble) in enumerate(results):
-        sd_all = None
-        for b in fam_bases:
-            bases.append(b)
-            sd = b.local.scalar_dofs()
-            sd_all = sd
-            for k in range(len(b.vectors)):
-                rows.append(np.full(len(sd), offset + k))
-                cols.append(sd)
-                vals.append(b.vectors[k])
-            offset += len(b.vectors)
-            for k, lam in enumerate(b.eigenvalues):
-                eigen_rows.append((b.domain, b.family, k, float(lam)))
-        rows.append(np.full(len(sd_all), offset))
-        cols.append(sd_all)
-        vals.append(bubble)
-        offset += 1
-    R_c = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(offset, dz.dofs.n_concentration)).tocsr()
-    return ConcentrationSpace(kind=kind, M=M, bc_kind=bc_kind, variant=variant,
-                              bases=bases, R_c=R_c, n_domains=partition.n_domains,
-                              eigen_rows=eigen_rows)
+    bases = [b for fam_bases, _ in results for b in fam_bases]
+    bubbles = [bubble for _, bubble in results]
+    return ConcentrationSpace.stack(kind, M, bc_kind, variant, bases, bubbles,
+                                    dz.dofs.n_concentration)
 
 
 def expected_transport_dof(kind: str, n_domains: int, M: int) -> int:

@@ -10,7 +10,7 @@ Gram matrix then selects the dominant modes.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +20,7 @@ from .assembly import (DATA_PENALTY, Discretization, LocalDomain,
                        assemble_local_stokes, assemble_local_velocity_forms,
                        nitsche_rhs_values)
 from .mesh import CoarsePartition
-from .spectral import SpectralBasis, spectral_reduce
+from .spectral import spectral_reduce
 
 
 @dataclass
@@ -66,26 +66,26 @@ def _boundary_node_data(dz: Discretization, fids: np.ndarray):
     return nodes, gvals
 
 
-def velocity_snapshots(dz: Discretization, partition: CoarsePartition, i: int,
-                       direction: int | None, mu: float,
-                       gamma_u: float) -> VelocitySnapshotSet:
-    """Solve the local Stokes problems for every boundary trace node.
+@dataclass
+class LocalStokes:
+    """Domain i's local Stokes saddle system, pressure-pinned and factored once
+    so that every snapshot direction reuses the same LU."""
 
-    Each snapshot imposes a unit hat in the given component on the non-wall
-    boundary (zero on walls), with the constant divergence source required for
-    compatibility; the local pressure constant is pinned at one dof.
-    """
-    mesh = dz.mesh
-    dom = LocalDomain.build(mesh, partition, i)
+    local: LocalDomain
+    lu: object  # scipy SuperLU
+    n_velocity: int
+    n_pressure: int
+
+
+def local_stokes(dz: Discretization, partition: CoarsePartition, i: int,
+                 mu: float, gamma_u: float) -> LocalStokes:
+    """Assemble and factor the local Stokes system of domain i; the local
+    pressure constant is pinned at the first pressure dof."""
+    dom = LocalDomain.build(dz.mesh, partition, i)
     if len(dom.gamma_e) == 0:
         raise ValueError(f"domain {i} has no non-wall boundary facets")
-    ge = dom.gamma_e
-    sides, signs = dom.inside_side(mesh, ge)
-    nodes, gvals = _boundary_node_data(dz, ge)
-
     A, B = assemble_local_stokes(dz, dom, mu, gamma_u)
     nv = A.shape[0]
-    npr = B.shape[0]
     K = sp.bmat([[A, B.T], [B, None]], format="lil")
     # pin the pressure constant: replace the first continuity row by p_0 = 0
     K.rows[nv] = [nv]
@@ -94,6 +94,27 @@ def velocity_snapshots(dz: Discretization, partition: CoarsePartition, i: int,
         lu = splu(K.tocsc())
     except RuntimeError as exc:
         raise RuntimeError(f"singular local flow system on domain {i}: {exc}")
+    return LocalStokes(local=dom, lu=lu, n_velocity=nv, n_pressure=B.shape[0])
+
+
+def velocity_snapshots(dz: Discretization, partition: CoarsePartition, i: int,
+                       direction: int | None, mu: float, gamma_u: float,
+                       stokes: LocalStokes | None = None) -> VelocitySnapshotSet:
+    """Solve the local Stokes problems for every boundary trace node.
+
+    Each snapshot imposes a unit hat in the given component on the non-wall
+    boundary (zero on walls), with the constant divergence source required for
+    compatibility.  `stokes` reuses domain i's factored system; the solve
+    stays one call per direction, because the near-singular pinned system
+    makes the snapshots sensitive to how the right-hand sides are blocked.
+    """
+    mesh = dz.mesh
+    if stokes is None:
+        stokes = local_stokes(dz, partition, i, mu, gamma_u)
+    dom, nv, npr = stokes.local, stokes.n_velocity, stokes.n_pressure
+    ge = dom.gamma_e
+    sides, signs = dom.inside_side(mesh, ge)
+    nodes, gvals = _boundary_node_data(dz, ge)
 
     # geometric facet data for the loads
     lens = dz.facet_geom.lengths[ge]
@@ -124,7 +145,7 @@ def velocity_snapshots(dz: Discretization, partition: CoarsePartition, i: int,
             Fp[0] = 0.0  # pinned row
             rhs_cols.append(np.concatenate([Fu, Fp]))
 
-    sols = lu.solve(np.stack(rhs_cols, axis=1))
+    sols = stokes.lu.solve(np.stack(rhs_cols, axis=1))
     snaps = sols[:nv].T  # (n_snap, nv)
     return VelocitySnapshotSet(domain=i, direction=direction, nodes=nodes,
                                snapshots=snaps, local=dom)
@@ -132,21 +153,26 @@ def velocity_snapshots(dz: Discretization, partition: CoarsePartition, i: int,
 
 def spectral_reduce_velocity(dz: Discretization, partition: CoarsePartition,
                              snapshots: VelocitySnapshotSet, M: int | None,
-                             mu: float, gamma_u: float) -> VelocityMsBasis:
-    """Reduce a snapshot set to its M smallest-eigenvalue modes."""
-    A, S = assemble_local_velocity_forms(dz, partition, snapshots.domain, mu, gamma_u)
-    basis = _reduce(snapshots.snapshots, A, S, M)
+                             mu: float, gamma_u: float,
+                             forms=None) -> VelocityMsBasis:
+    """Reduce a snapshot set to its M smallest-eigenvalue modes (every mode up
+    to the Gram rank when M is None).  `forms` reuses the domain's (A, S)."""
+    if forms is None:
+        forms = assemble_local_velocity_forms(dz, partition, snapshots.domain,
+                                              mu, gamma_u)
+    try:
+        basis = spectral_reduce(snapshots.snapshots, *forms, M)
+    except ValueError as exc:
+        raise ValueError(f"velocity basis on domain {snapshots.domain} "
+                         f"({_direction_name(snapshots.direction)}), M={M}: "
+                         f"{exc}") from exc
     return VelocityMsBasis(domain=snapshots.domain, direction=snapshots.direction,
                            eigenvalues=basis.eigenvalues, vectors=basis.vectors,
                            local=snapshots.local)
 
 
-def _reduce(snaps, A, S, M) -> SpectralBasis:
-    if M is None:
-        # full space: keep every mode the boundary Gram matrix supports
-        probe = spectral_reduce(snaps, A, S, 0)
-        M = len(probe.eigenvalues)
-    return spectral_reduce(snaps, A, S, M)
+def _direction_name(direction: int | None) -> str:
+    return "pooled directions" if direction is None else f"direction {direction}"
 
 
 @dataclass
@@ -160,6 +186,28 @@ class VelocitySpace:
     n_domains: int
     eigen_rows: list = field(default_factory=list)  # (domain, direction, k, lam)
 
+    @classmethod
+    def stack(cls, kind: str, M: int | None, bases: list, n_domains: int,
+              n_velocity: int) -> "VelocitySpace":
+        """Stack every basis's modes, in order, into the projection rows."""
+        rows, cols, vals, eigen_rows = [], [], [], []
+        offset = 0
+        for b in bases:
+            vdofs = b.local.velocity_dofs()
+            nb = len(b.vectors)
+            rows.append(np.repeat(offset + np.arange(nb), len(vdofs)))
+            cols.append(np.tile(vdofs, nb))
+            vals.append(b.vectors.ravel())
+            r = -1 if b.direction is None else b.direction
+            eigen_rows += [(b.domain, r, k, float(lam))
+                           for k, lam in enumerate(b.eigenvalues)]
+            offset += nb
+        R_u = sp.coo_matrix((np.concatenate(vals),
+                             (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(offset, n_velocity)).tocsr()
+        return cls(kind=kind, M=M, bases=bases, R_u=R_u, n_domains=n_domains,
+                   eigen_rows=eigen_rows)
+
     @property
     def n_rows(self) -> int:
         return self.R_u.shape[0]
@@ -167,6 +215,24 @@ class VelocitySpace:
     def reported_dof(self) -> int:
         """Coarse flow dof count including one pressure value per domain."""
         return self.n_rows + self.n_domains
+
+    def truncate(self, M: int) -> "VelocitySpace":
+        """The space of the first M modes of every domain and direction.
+
+        Modes are kept in ascending eigenvalue order, so the spaces are nested
+        and this equals a direct build at M.
+        """
+        if M == self.M:
+            return self
+        for b in self.bases:
+            if len(b.vectors) < M:
+                raise ValueError(
+                    f"velocity space holds {len(b.vectors)} modes on domain "
+                    f"{b.domain} ({_direction_name(b.direction)}); cannot "
+                    f"truncate to M={M}")
+        return VelocitySpace.stack(
+            self.kind, M, [replace(b, vectors=b.vectors[:M]) for b in self.bases],
+            self.n_domains, self.R_u.shape[1])
 
 
 def build_velocity_space(dz: Discretization, partition: CoarsePartition,
@@ -176,43 +242,32 @@ def build_velocity_space(dz: Discretization, partition: CoarsePartition,
 
     kind "type1" pools both directions into one spectral problem per domain
     (M modes each); "type2" keeps a per-direction family (d*M modes each).
+    One job per domain factors its local Stokes system and assembles its
+    spectral forms once for all of its directions.
     """
     kind = kind.lower()
     if kind not in ("type1", "type2"):
         raise ValueError(f"unknown velocity space kind {kind!r}")
     directions = [None] if kind == "type1" else [0, 1]
 
-    jobs = [(i, r) for i in range(partition.n_domains) for r in directions]
+    def run(i):
+        stokes = local_stokes(dz, partition, i, mu, gamma_u)
+        forms = assemble_local_velocity_forms(dz, partition, i, mu, gamma_u)
+        return [spectral_reduce_velocity(
+                    dz, partition,
+                    velocity_snapshots(dz, partition, i, r, mu, gamma_u, stokes),
+                    M, mu, gamma_u, forms)
+                for r in directions]
 
-    def run(job):
-        i, r = job
-        snaps = velocity_snapshots(dz, partition, i, r, mu, gamma_u)
-        return spectral_reduce_velocity(dz, partition, snaps, M, mu, gamma_u)
-
+    domains = range(partition.n_domains)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            bases = list(ex.map(run, jobs))
+            per_domain = list(ex.map(run, domains))
     else:
-        bases = [run(j) for j in jobs]
-
-    rows, cols, vals = [], [], []
-    eigen_rows = []
-    offset = 0
-    for b in bases:
-        vdofs = b.local.velocity_dofs()
-        nb = len(b.vectors)
-        for k in range(nb):
-            rows.append(np.full(len(vdofs), offset + k))
-            cols.append(vdofs)
-            vals.append(b.vectors[k])
-        for k, lam in enumerate(b.eigenvalues):
-            eigen_rows.append((b.domain, -1 if b.direction is None else b.direction,
-                               k, float(lam)))
-        offset += nb
-    R_u = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(offset, dz.dofs.n_velocity)).tocsr()
-    return VelocitySpace(kind=kind, M=M, bases=bases, R_u=R_u,
-                         n_domains=partition.n_domains, eigen_rows=eigen_rows)
+        per_domain = [run(i) for i in domains]
+    bases = [b for bs in per_domain for b in bs]
+    return VelocitySpace.stack(kind, M, bases, partition.n_domains,
+                               dz.dofs.n_velocity)
 
 
 def expected_flow_dof(kind: str, n_domains: int, M: int, d: int = 2) -> int:

@@ -13,6 +13,13 @@ WIDTH = 0.2  # manufactured-solution channel width (length 1.0)
 CRITERION_LINES = []
 
 
+def assert_rows_close(got, want, rtol=1e-12):
+    """Two sparse projection matrices agree entry-wise to rtol of the largest."""
+    got, want = got.toarray(), want.toarray()
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
 def _c_exact(x):
     return np.sin(np.pi * x[:, 1] / WIDTH)
 

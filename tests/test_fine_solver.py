@@ -1,13 +1,19 @@
 """Fine-grid flow and transport time stepping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+from channelms import fine_solver
 from channelms.assembly import (Discretization, assemble_flow,
                                 assemble_transport)
 from channelms.fine_solver import (TimeGrid, constant_concentration,
                                    solve_flow, solve_steady_flow,
                                    solve_transport)
+from channelms.cli import load_preset, preset_names
 from channelms.harness import ExperimentConfig, inflow_profile
 from channelms.mesh import ChannelParams, FacetMarker, generate_channel
 
@@ -140,3 +146,48 @@ def test_transport_reports_requested_steps(small_dz):
                           TimeGrid(0.7, 40), c0, report_steps=(10, 20, 30, 40))
     assert sorted(sol.reported) == [10, 20, 30, 40]
     assert np.array_equal(sol.reported[40], sol.final)
+
+
+def test_flow_ordering_matches_default_splu():
+    # the minimum-degree, diagonal-pivot factorization against scipy's
+    # default COLAMD one, on every distinct flow of the desk-size presets
+    seen = set()
+    for name in preset_names():
+        cfg = replace(load_preset(name), target_cells=3000)
+        params = cfg.channel_params()
+        key = (params, cfg.mu, cfg.rho, cfg.gamma_u, cfg.u_in, cfg.inflow_n,
+               cfg.t_max, cfg.n_steps)
+        if key in seen:
+            continue
+        seen.add(key)
+        dz = Discretization.from_mesh(generate_channel(params))
+        ops = assemble_flow(dz, cfg.mu, cfg.rho, cfg.gamma_u,
+                            inflow_profile(cfg, params))
+        grid = cfg.time_grid()
+        sol = solve_flow(dz, ops, grid)
+        K = sp.bmat([[ops.M / grid.tau + ops.A, ops.B.T], [ops.B, None]],
+                    format="csc")
+        lu = splu(K)
+        u = np.zeros(dz.dofs.n_velocity)
+        for step in range(1, len(sol.velocities)):
+            u = lu.solve(np.concatenate([ops.Fu + ops.M @ u / grid.tau,
+                                         ops.Fp]))[:len(u)]
+            got = sol.velocities[step]
+            assert np.linalg.norm(got - u) <= 1e-10 * np.linalg.norm(u), \
+                (name, step)
+    assert len(seen) == 2  # straight channels share one flow; test3 flips
+
+
+def test_flow_residual_check(small_dz, monkeypatch):
+    class Broken:
+        def __init__(self, K, **kw):
+            self.lu = splu(K, **kw)
+
+        def solve(self, rhs):
+            return 1.001 * self.lu.solve(rhs)
+
+    cfg = ExperimentConfig(length=0.5, half_width=0.05, target_cells=400)
+    ops = assemble_flow(small_dz, 1.0, 1.0, 8.0, inflow_profile(cfg))
+    monkeypatch.setattr(fine_solver, "splu", Broken)
+    with pytest.raises(RuntimeError, match="relative residual .* > 1e-10"):
+        solve_flow(small_dz, ops, TimeGrid(0.1, 5))

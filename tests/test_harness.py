@@ -191,9 +191,43 @@ def test_failed_row_recorded_without_aborting(monkeypatch):
     assert "nan" in report.to_csv().splitlines()[1]
 
 
-def test_snapshot_mu_must_be_swept():
+def test_snapshot_mu_must_be_swept(tmp_path):
     with pytest.raises(ValueError, match="snapshot_mu"):
         run_experiment(_tiny_cfg(snapshot_mu=7))
+    path = tmp_path / "cfg.ini"
+    save_config(_tiny_cfg(snapshot_mu=7), path)
+    with pytest.raises(ValueError, match="snapshot_mu must be one of mu_list"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("space,formula", [("velocity", "expected_flow_dof"),
+                                           ("concentration",
+                                            "expected_transport_dof")])
+def test_dof_mismatch_is_an_error(monkeypatch, space, formula):
+    monkeypatch.setattr(harness, formula, lambda *args, **kw: -1)
+    with pytest.raises(RuntimeError, match=f"{space} space at M=1 reports "
+                                           r"\d+ coarse dofs, .* gives -1"):
+        run_experiment(_tiny_cfg(mu_list=(1, 2)))
+
+
+@pytest.mark.parametrize("lists,match", [
+    (dict(mu_list=(2, 500)), r"velocity basis on domain 0 \(direction 0\), "
+                             r"M=500: requested 500 modes .* rank \d+"),
+    (dict(mc_list=(1, 500)), r"concentration basis on domain 0 \(interface "
+                             r"family\), M=500: requested 500 modes .* "
+                             r"rank \d+")])
+def test_rank_shortfall_fails_before_any_row(monkeypatch, lists, match):
+    calls = []
+    for name in ("solve_coarse_flow", "solve_coarse_transport"):
+        orig = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda *a, _f=orig, _n=name, **kw:
+                            calls.append(_n) or _f(*a, **kw))
+    with pytest.raises(ValueError, match=match):
+        run_experiment(_tiny_cfg(**lists))
+    assert "solve_coarse_transport" not in calls
+    if "mu_list" in lists:
+        assert calls == []
 
 
 # --- presets and CLI --------------------------------------------------------

@@ -87,6 +87,17 @@ def test_rank_deficient_gram_reported(rng):
     assert len(basis.eigenvalues) == 4
 
 
+def test_none_keeps_every_mode_up_to_the_rank(rng):
+    R, A, S = _random_problem(rng, n_snap=6)
+    R[5] = R[0] + R[1]  # rank 5
+    full = spectral_reduce(R, A, S)
+    assert len(full.eigenvalues) == len(full.vectors) == 5
+    at_rank = spectral_reduce(R, A, S, 5)
+    assert np.array_equal(full.eigenvalues, at_rank.eigenvalues)
+    assert np.array_equal(full.coefficients, at_rank.coefficients)
+    assert np.array_equal(full.vectors, at_rank.vectors)
+
+
 def test_empty_snapshots_rejected():
     with pytest.raises(ValueError):
         spectral_reduce(np.zeros((0, 5)), np.eye(5), np.eye(5), 0)

@@ -10,6 +10,7 @@ from channelms.transport_basis import (build_concentration_space,
 from channelms.velocity_basis import _boundary_node_data
 
 import oracles
+from helpers import assert_rows_close
 from oracles import _pair01, _single01
 from test_spectral import check_spectral
 
@@ -220,3 +221,38 @@ def test_expected_transport_dof_formulas():
     assert expected_transport_dof("type2", 10, 1) == 30
     assert expected_transport_dof("type1", 10, 2) == 30
     assert expected_transport_dof("type2", 20, 10) == 420
+
+
+def _uniform_velocity(dz):
+    u = np.zeros(dz.dofs.n_velocity)
+    u[0::2] = 1.0  # unit x velocity on every scalar dof
+    return u
+
+
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+@pytest.mark.parametrize("variant", ["elliptic", "timevelocity"])
+def test_truncation_equals_direct_build(small_dz, small_partition, kind,
+                                        variant):
+    kw = dict(bc_kind="rbc", variant=variant, D=D, alpha=ALPHA, gamma_c=GAMMA)
+    if variant == "timevelocity":
+        kw.update(u_ms=_uniform_velocity(small_dz), tau=0.05)
+    full = build_concentration_space(small_dz, small_partition, kind, 3, **kw)
+    for M in (1, 2):
+        cut = full.truncate(M)
+        direct = build_concentration_space(small_dz, small_partition, kind, M,
+                                           **kw)
+        assert cut.M == M
+        assert cut.reported_dof() == direct.reported_dof()
+        assert cut.eigen_rows == direct.eigen_rows
+        assert_rows_close(cut.R_c, direct.R_c)
+    with pytest.raises(ValueError, match="cannot truncate to M=4"):
+        full.truncate(4)
+
+
+def test_rank_shortfall_names_domain_family_rank_and_m(small_dz,
+                                                       small_partition):
+    with pytest.raises(ValueError, match=r"domain 0 \(interface family\), "
+                                         r"M=500: requested 500 modes .* "
+                                         r"rank \d+"):
+        build_concentration_space(small_dz, small_partition, "type2", 500,
+                                  "rbc", "elliptic", D, ALPHA, GAMMA)

@@ -6,9 +6,11 @@ import pytest
 from channelms.assembly import LocalDomain, assemble_local_velocity_forms
 from channelms.velocity_basis import (VelocitySpace, _boundary_node_data,
                                       build_velocity_space, expected_flow_dof,
+                                      local_stokes, spectral_reduce_velocity,
                                       velocity_snapshots)
 
 import oracles
+from helpers import assert_rows_close
 from test_spectral import check_spectral
 
 
@@ -139,3 +141,49 @@ def test_wall_only_domain_rejected(small_dz, small_mesh):
             velocity_snapshots(small_dz, part, 0, 0, 1.0, 8.0)
     finally:
         small_mesh.facet_marker[:] = marker
+
+
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+def test_factor_once_matches_per_direction_factorization(small_dz,
+                                                         small_partition, kind):
+    # the pinned local systems are near-singular, so sharing one LU across
+    # directions must reproduce the per-direction snapshots bit for bit
+    directions = [None] if kind == "type1" else [0, 1]
+    stokes = local_stokes(small_dz, small_partition, 1, 1.0, 8.0)
+    for r in directions:
+        own = velocity_snapshots(small_dz, small_partition, 1, r, 1.0, 8.0)
+        shared = velocity_snapshots(small_dz, small_partition, 1, r, 1.0, 8.0,
+                                    stokes)
+        assert np.array_equal(own.snapshots, shared.snapshots)
+    bases = [spectral_reduce_velocity(
+                 small_dz, small_partition,
+                 velocity_snapshots(small_dz, small_partition, i, r, 1.0, 8.0),
+                 3, 1.0, 8.0)
+             for i in range(small_partition.n_domains) for r in directions]
+    ref = VelocitySpace.stack(kind, 3, bases, small_partition.n_domains,
+                              small_dz.dofs.n_velocity)
+    vs = build_velocity_space(small_dz, small_partition, kind, 3, 1.0, 8.0)
+    assert np.array_equal(vs.R_u.toarray(), ref.R_u.toarray())
+
+
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+def test_truncation_equals_direct_build(small_dz, small_partition, kind):
+    full = build_velocity_space(small_dz, small_partition, kind, 5, 1.0, 8.0)
+    assert full.truncate(5) is full
+    for M in (1, 3):
+        cut = full.truncate(M)
+        direct = build_velocity_space(small_dz, small_partition, kind, M,
+                                      1.0, 8.0)
+        assert cut.M == M
+        assert cut.reported_dof() == direct.reported_dof()
+        assert cut.eigen_rows == direct.eigen_rows
+        assert_rows_close(cut.R_u, direct.R_u)
+    with pytest.raises(ValueError, match="cannot truncate to M=6"):
+        full.truncate(6)
+
+
+def test_rank_shortfall_names_domain_direction_rank_and_m(small_dz,
+                                                          small_partition):
+    with pytest.raises(ValueError, match=r"domain 0 \(direction 0\), M=500: "
+                                         r"requested 500 modes .* rank \d+"):
+        build_velocity_space(small_dz, small_partition, "type2", 500, 1.0, 8.0)
