@@ -101,7 +101,7 @@ def cmd_basis(args):
         from .coarse_solver import build_multiscale_space, project_flow, solve_coarse_flow
         space = build_multiscale_space(fine.dz, fine.partition, vs, None)
         cf = solve_coarse_flow(space, project_flow(space, fine.flow_ops),
-                               fine.grid, ops=fine.flow_ops)
+                               fine.grid)
         kw = dict(u_ms=cf.final_velocity, tau=fine.grid.tau)
     cs = build_concentration_space(fine.dz, fine.partition,
                                    cfg.concentration_type, Mc, cfg.bc_kind,

@@ -8,6 +8,7 @@ and writes a CSV of relative errors plus optional VTK / eigenvalue artifacts.
 from __future__ import annotations
 
 import configparser
+import csv
 import hashlib
 import io
 import logging
@@ -30,7 +31,7 @@ from .vtkio import write_vtk
 log = logging.getLogger(__name__)
 
 CSV_HEADER = ("type,variant,Mu,Mc,dof_u_H,dof_c_H,e_u,"
-              "e_c_m10,e_c_m20,e_c_m30,e_c_m40,seconds_total")
+              "e_c_m10,e_c_m20,e_c_m30,e_c_m40,error,seconds_total")
 
 
 @dataclass
@@ -210,16 +211,18 @@ class ErrorReport:
     timings: dict = field(default_factory=dict)  # phase -> seconds
 
     def to_csv(self) -> str:
+        """One line per row; `error` is empty for completed rows and holds
+        the failure, on one line and quoted where needed, for failed ones."""
         buf = io.StringIO()
         buf.write(CSV_HEADER + "\n")
+        out = csv.writer(buf, lineterminator="\n")
         for r in self.rows:
             e_c = r.get("e_c", {})
-            cells = [r["type"], r["variant"], str(r["Mu"]), str(r["Mc"]),
-                     str(r["dof_u_H"]), str(r["dof_c_H"]),
-                     _fmt(r.get("e_u")),
-                     *(_fmt(e_c.get(k)) for k in ("m10", "m20", "m30", "m40")),
-                     "%.3f" % r.get("seconds_total", float("nan"))]
-            buf.write(",".join(cells) + "\n")
+            out.writerow([r["type"], r["variant"], r["Mu"], r["Mc"],
+                          r["dof_u_H"], r["dof_c_H"], _fmt(r.get("e_u")),
+                          *(_fmt(e_c.get(k)) for k in ("m10", "m20", "m30", "m40")),
+                          " ".join(r.get("error", "").split()),
+                          "%.3f" % r.get("seconds_total", float("nan"))])
         return buf.getvalue()
 
 
@@ -302,23 +305,27 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     u_ref = fine.flow.velocity_at(grid.n_steps)
     report_keys = dict(zip(fine.report, ("m10", "m20", "m30", "m40")))
 
-    # velocity phase: one build at the largest M_u; the modes are nested, so
-    # every smaller M_u is a truncation of it, followed by its coarse flow
+    # velocity phase: one build and one flow projection at the largest M_u;
+    # the modes are nested, so every smaller M_u is a truncation of the space
+    # and a principal submatrix of the coarse operators
     t0 = time.perf_counter()
     vs_max = build_velocity_space(dz, partition, cfg.velocity_type,
                                   cfg.mu_list[-1], cfg.mu, cfg.gamma_u,
                                   threads=cfg.threads)
-    flows = {}
+    cops_max = project_flow(build_multiscale_space(dz, partition, vs_max),
+                            fine.flow_ops)
+    flows = {}  # Mu -> (space, coarse flow or the error that stopped it, e_u)
     for Mu in cfg.mu_list:
         vs = vs_max.truncate(Mu)
         _check_dof("velocity", Mu, vs.reported_dof(),
                    expected_flow_dof(cfg.velocity_type, cfg.n_domains, Mu))
-        space = build_multiscale_space(dz, partition, vs, None)
-        cf = solve_coarse_flow(space, project_flow(space, fine.flow_ops), grid,
-                               ops=fine.flow_ops)
-        e_u = velocity_error(dz, cf.final_velocity, u_ref)
-        flows[Mu] = (vs, cf, e_u)
         _dump_eigen(cfg, f"eigen_u_M{Mu}.csv", vs.eigen_rows)
+        try:
+            cf = solve_coarse_flow(build_multiscale_space(dz, partition, vs),
+                                   cops_max.restrict(vs_max.rows(Mu)), grid)
+            flows[Mu] = (vs, cf, velocity_error(dz, cf.final_velocity, u_ref))
+        except np.linalg.LinAlgError as exc:  # fails the rows of this M_u only
+            flows[Mu] = (vs, exc, None)
     timings["velocity_basis"] = time.perf_counter() - t0
 
     # u_ms for time+velocity snapshots: largest swept M_u unless overridden
@@ -327,48 +334,77 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     t0 = time.perf_counter()
     kw = {}
     if cfg.variant == "timevelocity":
-        kw = dict(u_ms=flows[snap_mu][1].final_velocity, tau=grid.tau)
+        snap_flow = flows[snap_mu][1]
+        if isinstance(snap_flow, Exception):
+            raise snap_flow
+        kw = dict(u_ms=snap_flow.final_velocity, tau=grid.tau)
     cs_max = build_concentration_space(dz, partition, cfg.concentration_type,
                                        cfg.mc_list[-1], cfg.bc_kind, cfg.variant,
                                        cfg.diffusion, cfg.alpha, cfg.gamma_c,
                                        threads=cfg.threads, **kw)
-    cspaces = {}
+    dof_c = {}
     for Mc in cfg.mc_list:
         cs = cs_max.truncate(Mc)
-        _check_dof("concentration", Mc, cs.reported_dof(),
+        dof_c[Mc] = cs.reported_dof()
+        _check_dof("concentration", Mc, dof_c[Mc],
                    expected_transport_dof(cfg.concentration_type,
                                           cfg.n_domains, Mc))
-        cspaces[Mc] = cs
         _dump_eigen(cfg, f"eigen_c_{cfg.variant}_M{Mc}.csv", cs.eigen_rows)
     timings["concentration_basis"] = time.perf_counter() - t0
 
+    # transport phase: one shared solve per velocity source steps every M_c;
+    # each row is charged an even share of the solve and of its errors
     t0 = time.perf_counter()
+    space_c = build_multiscale_space(dz, partition, vs_max, cs_max)
+    if cfg.transport_velocity == "fine":
+        sources = [(cfg.mu_list, fine.flow.velocity_at)]
+    else:
+        sources = [((Mu,), cf.velocity_at) for Mu, (_, cf, _) in flows.items()
+                   if not isinstance(cf, Exception)]
+    outcomes = {}  # (Mu, Mc) -> (final field or error, e_c, seconds)
+    for mus, velocity_at in sources:
+        t_solve = time.perf_counter()
+        try:
+            solutions = solve_coarse_transport(
+                dz, space_c, fine.transport_ops.M, fine.transport_ops.A,
+                fine.transport_ops.F, velocity_at, cfg.c_in, grid, fine.c0,
+                cfg.mc_list, report_steps=fine.report)
+        except Exception as exc:  # record and keep sweeping
+            log.exception("coarse transport for M_u in %s failed", mus)
+            solutions = [exc] * len(cfg.mc_list)
+        share = (time.perf_counter() - t_solve) / (len(mus) * len(cfg.mc_list))
+        for Mc, ct in zip(cfg.mc_list, solutions):
+            t_err = time.perf_counter()
+            if isinstance(ct, Exception):
+                outcome, e_c = ct, {}
+            else:
+                outcome = ct.final
+                e_c = {key: concentration_error(dz, ct.reported[m],
+                                                fine.transport.reported[m])
+                       for m, key in report_keys.items()}
+            seconds = share + (time.perf_counter() - t_err) / len(mus)
+            for Mu in mus:
+                outcomes[Mu, Mc] = (outcome, e_c, seconds)
+        fine.check_hash()
+
     last_ok = None
     for Mu in cfg.mu_list:
         vs, cf, e_u = flows[Mu]
-        velocity_at = (fine.flow.velocity_at if cfg.transport_velocity == "fine"
-                       else cf.velocity_at)
         for Mc in cfg.mc_list:
-            t_row = time.perf_counter()
+            final, e_c, seconds = outcomes.get((Mu, Mc), (cf, {}, 0.0))
             row = {"type": cfg.concentration_type, "variant": cfg.variant,
                    "Mu": Mu, "Mc": Mc, "dof_u_H": vs.reported_dof(),
-                   "dof_c_H": cspaces[Mc].reported_dof(), "e_u": e_u,
-                   "e_c": {}}
-            try:
-                space = build_multiscale_space(dz, partition, vs, cspaces[Mc])
-                ct = solve_coarse_transport(
-                    dz, space, fine.transport_ops.M, fine.transport_ops.A,
-                    fine.transport_ops.F, velocity_at, cfg.c_in, grid, fine.c0,
-                    report_steps=fine.report)
-                for m, key in report_keys.items():
-                    row["e_c"][key] = concentration_error(
-                        dz, ct.reported[m], fine.transport.reported[m])
-                last_ok = (ct, cf)
-            except Exception as exc:  # record and keep sweeping
-                log.exception("sweep row Mu=%d Mc=%d failed", Mu, Mc)
-                row["error"] = f"{type(exc).__name__}: {exc}"
-            fine.check_hash()
-            row["seconds_total"] = time.perf_counter() - t_row
+                   "dof_c_H": dof_c[Mc], "e_u": e_u, "e_c": {},
+                   "seconds_total": seconds}
+            failure = next((x for x in (cf, final) if isinstance(x, Exception)),
+                           None)
+            if failure is None:
+                row["e_c"] = e_c
+                last_ok = (final, cf)
+            else:
+                row["error"] = f"{type(failure).__name__}: {failure}"
+                log.error("sweep row Mu=%d Mc=%d failed: %s", Mu, Mc,
+                          row["error"])
             report.rows.append(row)
     timings["coarse"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
@@ -414,7 +450,7 @@ def _write_outputs(cfg: ExperimentConfig, report: ErrorReport, fine: FinePhase,
                   velocity=fine.flow.velocity_at(n),
                   pressure=fine.flow.pressures[-1], partition=fine.partition)
         if last_ok is not None:
-            ct, cf = last_ok
+            c_final, cf = last_ok
             write_vtk(os.path.join(cfg.out_dir, "fields_ms.vtk"), mesh,
-                      concentration=ct.final,
+                      concentration=c_final,
                       velocity=cf.final_velocity, partition=fine.partition)

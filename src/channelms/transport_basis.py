@@ -152,12 +152,15 @@ def concentration_snapshots(dz: Discretization, partition: CoarsePartition,
 
 def spectral_reduce_concentration(dz: Discretization, partition: CoarsePartition,
                                   snapshots: ConcentrationSnapshotSet,
-                                  M: int | None, D: float,
-                                  gamma_c: float) -> ConcentrationMsBasis:
+                                  M: int | None, D: float, gamma_c: float,
+                                  forms=None) -> ConcentrationMsBasis:
     """Diffusion-only eigenproblem selecting the M dominant snapshot modes
-    (every mode up to the Gram rank when M is None)."""
-    A, S = assemble_local_concentration_forms(dz, partition, snapshots.domain,
-                                              D, gamma_c)
+    (every mode up to the Gram rank when M is None).  `forms` reuses the
+    domain's (A, S)."""
+    if forms is None:
+        forms = assemble_local_concentration_forms(dz, partition,
+                                                   snapshots.domain, D, gamma_c)
+    A, S = forms
     if len(snapshots.snapshots) == 0:
         return ConcentrationMsBasis(domain=snapshots.domain, family=snapshots.family,
                                     eigenvalues=np.zeros(0),
@@ -245,11 +248,16 @@ class ConcentrationSpace:
         return self.R_c.shape[0]
 
     def reported_dof(self) -> int:
-        """N_H(M+1) pooled, N_H(2M+1) per-family."""
-        M = self.M if self.M is not None else 0
-        if self.kind == "type1":
-            return self.n_domains * (M + 1)
-        return self.n_domains * (2 * M + 1)
+        """Coarse transport dof count: the rows of the space."""
+        return self.n_rows
+
+    def _check_modes(self, M: int):
+        for b in self.bases:
+            if len(b.eigenvalues) and len(b.vectors) < M:
+                raise ValueError(
+                    f"concentration space holds {len(b.vectors)} modes on "
+                    f"domain {b.domain} ({b.family} family); cannot "
+                    f"truncate to M={M}")
 
     def truncate(self, M: int) -> "ConcentrationSpace":
         """The space of the first M modes of every domain and family plus
@@ -258,16 +266,24 @@ class ConcentrationSpace:
         without snapshots (no wall facets) stays empty."""
         if M == self.M:
             return self
-        for b in self.bases:
-            if len(b.eigenvalues) and len(b.vectors) < M:
-                raise ValueError(
-                    f"concentration space holds {len(b.vectors)} modes on "
-                    f"domain {b.domain} ({b.family} family); cannot truncate "
-                    f"to M={M}")
+        self._check_modes(M)
         return ConcentrationSpace.stack(
             self.kind, M, self.bc_kind, self.variant,
             [replace(b, vectors=b.vectors[:M]) for b in self.bases],
             self.bubbles, self.R_c.shape[1])
+
+    def rows(self, M: int) -> np.ndarray:
+        """The rows of R_c that truncate(M) keeps, in its order."""
+        self._check_modes(M)
+        per = len(self.bases) // len(self.bubbles)
+        keep, offset = [], 0
+        for i in range(len(self.bubbles)):
+            for b in self.bases[i * per:(i + 1) * per]:
+                keep.append(offset + np.arange(min(M, len(b.vectors))))
+                offset += len(b.vectors)
+            keep.append([offset])  # the bubble
+            offset += 1
+        return np.concatenate(keep)
 
 
 def build_concentration_space(dz: Discretization, partition: CoarsePartition,
@@ -282,6 +298,7 @@ def build_concentration_space(dz: Discretization, partition: CoarsePartition,
     families = ["pooled"] if kind == "type1" else ["interface", "wall"]
 
     def run(i):
+        forms = assemble_local_concentration_forms(dz, partition, i, D, gamma_c)
         out = []
         for fam in families:
             snaps = concentration_snapshots(dz, partition, i, fam, bc_kind,
@@ -289,7 +306,7 @@ def build_concentration_space(dz: Discretization, partition: CoarsePartition,
             if len(snaps.snapshots) == 0:
                 log.warning("domain %d has no wall facets; wall family empty", i)
             out.append(spectral_reduce_concentration(dz, partition, snaps,
-                                                     M, D, gamma_c))
+                                                     M, D, gamma_c, forms))
         bubble = interior_basis(dz, partition, i, variant, D, gamma_c, u_ms, tau)
         return out, bubble
 

@@ -216,6 +216,14 @@ class VelocitySpace:
         """Coarse flow dof count including one pressure value per domain."""
         return self.n_rows + self.n_domains
 
+    def _check_modes(self, M: int):
+        for b in self.bases:
+            if len(b.vectors) < M:
+                raise ValueError(
+                    f"velocity space holds {len(b.vectors)} modes on domain "
+                    f"{b.domain} ({_direction_name(b.direction)}); cannot "
+                    f"truncate to M={M}")
+
     def truncate(self, M: int) -> "VelocitySpace":
         """The space of the first M modes of every domain and direction.
 
@@ -224,15 +232,16 @@ class VelocitySpace:
         """
         if M == self.M:
             return self
-        for b in self.bases:
-            if len(b.vectors) < M:
-                raise ValueError(
-                    f"velocity space holds {len(b.vectors)} modes on domain "
-                    f"{b.domain} ({_direction_name(b.direction)}); cannot "
-                    f"truncate to M={M}")
+        self._check_modes(M)
         return VelocitySpace.stack(
             self.kind, M, [replace(b, vectors=b.vectors[:M]) for b in self.bases],
             self.n_domains, self.R_u.shape[1])
+
+    def rows(self, M: int) -> np.ndarray:
+        """The rows of R_u that truncate(M) keeps, in its order."""
+        self._check_modes(M)
+        starts = np.cumsum([0] + [len(b.vectors) for b in self.bases[:-1]])
+        return np.concatenate([s + np.arange(M) for s in starts])
 
 
 def build_velocity_space(dz: Discretization, partition: CoarsePartition,

@@ -406,3 +406,98 @@ def local_diffusion_with_bc(md: MeshData, cells, D, gamma_c,
         sides = [lookup[f][0] for f in robin_fids]
         A += facet_mass(md, robin_fids, sides, alpha)
     return A[np.ix_(sd, sd)]
+
+
+# --------------------------------------------------------------------------
+# the online stage one row at a time: per-M_u flow projection, and per-row
+# fine-size convection, projection and dense solves at every step
+# --------------------------------------------------------------------------
+
+def per_row_coarse_flow(Ru, Rp, ops, grid, steady_tol):
+    """Implicit Euler on the reduced saddle system, one dense solve a step;
+    returns the fine-size velocity of every step taken."""
+    M = (Ru @ ops.M @ Ru.T).toarray()
+    A = (Ru @ ops.A @ Ru.T).toarray()
+    B = (Rp @ ops.B @ Ru.T).toarray()
+    Fu, Fp = Ru @ ops.Fu, Rp @ ops.Fp
+    nU, nP = A.shape[0], B.shape[0]
+    K = np.zeros((nU + nP, nU + nP))
+    K[:nU, :nU] = M / grid.tau + A
+    K[:nU, nU:] = B.T
+    K[nU:, :nU] = B
+    uH, coefficients = np.zeros(nU), [np.zeros(nU)]
+    for _ in range(grid.n_steps):
+        unew = np.linalg.solve(K, np.concatenate([Fu + M @ uH / grid.tau, Fp]))[:nU]
+        coefficients.append(unew)
+        if np.linalg.norm(unew - uH) <= steady_tol * max(np.linalg.norm(unew), 1e-300):
+            break
+        uH = unew
+    return [Ru.T @ c for c in coefficients]
+
+
+def per_row_coarse_transport(dz, Rc, M, A, F, velocity_at, c_in, grid, c0,
+                             report_steps):
+    """Reduced implicit Euler transport on one space; convection is assembled
+    and projected at fine size whenever the velocity array changes."""
+    from channelms.assembly import assemble_convection
+
+    M_H = (Rc @ M @ Rc.T).toarray()
+    A_H = (Rc @ A @ Rc.T).toarray()
+    F_H = Rc @ F
+    cH = np.linalg.solve(M_H, Rc @ (M @ c0))
+    reported, cached_u = {}, object()
+    for step in range(1, grid.n_steps + 1):
+        u = velocity_at(step)
+        if u is not cached_u:
+            C, Fc = assemble_convection(dz, u, c_in)
+            K = M_H / grid.tau + A_H + (Rc @ C @ Rc.T).toarray()
+            Fc_H = Rc @ Fc
+            cached_u = u
+        cH = np.linalg.solve(K, F_H + Fc_H + M_H @ cH / grid.tau)
+        if step in report_steps:
+            reported[step] = Rc.T @ cH
+    return reported
+
+
+def per_row_sweep(cfg):
+    """{(M_u, M_c): (e_u, e_c by report key)} with every row solved on its
+    own, from the same fine reference and nested spaces as the harness."""
+    from channelms import harness
+    from channelms.coarse_solver import pressure_indicators
+    from channelms.errors import concentration_error, velocity_error
+    from channelms.fine_solver import STEADY_TOL
+    from channelms.transport_basis import build_concentration_space
+    from channelms.velocity_basis import build_velocity_space
+
+    fine = harness.run_fine_phase(cfg)
+    dz, grid = fine.dz, fine.grid
+    Rp = pressure_indicators(dz, fine.partition)
+    vs_max = build_velocity_space(dz, fine.partition, cfg.velocity_type,
+                                  cfg.mu_list[-1], cfg.mu, cfg.gamma_u)
+    flows, e_u = {}, {}
+    for Mu in cfg.mu_list:
+        fields = per_row_coarse_flow(vs_max.truncate(Mu).R_u, Rp, fine.flow_ops,
+                                     grid, STEADY_TOL)
+        flows[Mu] = lambda step, f=fields: f[min(step, len(f) - 1)]
+        e_u[Mu] = velocity_error(dz, fields[-1], fine.flow.velocity_at(grid.n_steps))
+    kw = {}
+    if cfg.variant == "timevelocity":
+        snap_mu = cfg.snapshot_mu or cfg.mu_list[-1]
+        kw = dict(u_ms=flows[snap_mu](grid.n_steps), tau=grid.tau)
+    cs_max = build_concentration_space(dz, fine.partition, cfg.concentration_type,
+                                       cfg.mc_list[-1], cfg.bc_kind, cfg.variant,
+                                       cfg.diffusion, cfg.alpha, cfg.gamma_c, **kw)
+    keys = dict(zip(fine.report, ("m10", "m20", "m30", "m40")))
+    ops = fine.transport_ops
+    out = {}
+    for Mu in cfg.mu_list:
+        velocity_at = (fine.flow.velocity_at if cfg.transport_velocity == "fine"
+                       else flows[Mu])
+        for Mc in cfg.mc_list:
+            reported = per_row_coarse_transport(
+                dz, cs_max.truncate(Mc).R_c, ops.M, ops.A, ops.F, velocity_at,
+                cfg.c_in, grid, fine.c0, set(fine.report))
+            out[Mu, Mc] = (e_u[Mu], {
+                key: concentration_error(dz, reported[m], fine.transport.reported[m])
+                for m, key in keys.items()})
+    return out

@@ -154,9 +154,9 @@ def test_criterion_4_full_space_reproduction():
     cs = build_concentration_space(dz, part, "type2", None, "rbc", "elliptic",
                                    cfg.diffusion, cfg.alpha, cfg.gamma_c)
     space = build_multiscale_space(dz, part, vs, cs)
-    cf = solve_coarse_flow(space, project_flow(space, fops), grid, ops=fops)
-    ct = solve_coarse_transport(dz, space, tops.M, tops.A, tops.F,
-                                flow.velocity_at, cfg.c_in, grid, c0)
+    cf = solve_coarse_flow(space, project_flow(space, fops), grid)
+    (ct,) = solve_coarse_transport(dz, space, tops.M, tops.A, tops.F,
+                                   flow.velocity_at, cfg.c_in, grid, c0)
     e_u = velocity_error(dz, cf.final_velocity, flow.velocity_at(grid.n_steps))
     e_c = concentration_error(dz, ct.final, fine.final)
     ok = e_u < 1.0 and e_c < 1.0

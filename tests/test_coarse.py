@@ -1,6 +1,9 @@
 """Reduced-order flow/transport solves: projection and Galerkin properties."""
 
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from channelms.assembly import assemble_flow, assemble_transport
@@ -44,7 +47,7 @@ def test_identity_projection_matches_fine_flow(tiny_dz, tiny_partition):
     grid = TimeGrid(0.5, 20)
     fine = solve_flow(tiny_dz, ops, grid)
     space = _identity_space(tiny_dz, tiny_partition)
-    coarse = solve_coarse_flow(space, project_flow(space, ops), grid, ops=ops)
+    coarse = solve_coarse_flow(space, project_flow(space, ops), grid)
     uf, uc = fine.final_velocity, coarse.final_velocity
     assert np.linalg.norm(uc - uf) < 1e-8 * max(np.linalg.norm(uf), 1.0)
 
@@ -95,9 +98,9 @@ def test_identity_projection_matches_fine_transport(small_dz, small_partition, r
     fine = solve_transport(small_dz, ops.M, ops.A, ops.F, lambda s: u_const,
                            1.0, grid, c0, report_steps=(4, 8))
     space = _identity_space(small_dz, small_partition, with_c=True)
-    coarse = solve_coarse_transport(small_dz, space, ops.M, ops.A, ops.F,
-                                    lambda s: u_const, 1.0, grid, c0,
-                                    report_steps=(4, 8))
+    (coarse,) = solve_coarse_transport(small_dz, space, ops.M, ops.A, ops.F,
+                                       lambda s: u_const, 1.0, grid, c0,
+                                       report_steps=(4, 8))
     ref = np.linalg.norm(fine.final)
     assert np.linalg.norm(coarse.final - fine.final) < 1e-8 * ref
     assert np.linalg.norm(coarse.reported[4] - fine.reported[4]) < 1e-8 * ref
@@ -112,8 +115,8 @@ def test_reduced_transport_step_equation(small_dz, small_partition):
     space = MultiscaleSpace(R_u=None, R_p=None, R_c=cs.R_c)
     c0 = constant_concentration(small_dz, 1.0)
     grid = TimeGrid(0.1, 1)
-    sol = solve_coarse_transport(small_dz, space, ops.M, ops.A, ops.F,
-                                 lambda s: None, 0.0, grid, c0)
+    (sol,) = solve_coarse_transport(small_dz, space, ops.M, ops.A, ops.F,
+                                    lambda s: None, 0.0, grid, c0)
     Rc = cs.R_c.toarray()
     M_H = Rc @ ops.M.toarray() @ Rc.T
     A_H = Rc @ ops.A.toarray() @ Rc.T
@@ -122,3 +125,47 @@ def test_reduced_transport_step_equation(small_dz, small_partition):
                           Rc @ ops.F + M_H @ cH0 / grid.tau)
     assert np.allclose(sol.coefficients, cH1, rtol=1e-9, atol=1e-12)
     assert np.allclose(sol.final, Rc.T @ cH1, rtol=1e-9, atol=1e-12)
+
+
+def _with_zero_row(R):
+    """R with a zero row appended: any space that keeps it is exactly
+    singular (LU leaves a zero row zero, so its pivot is exactly 0)."""
+    return sp.vstack([R, sp.csr_matrix((1, R.shape[1]))], format="csr")
+
+
+def test_singular_flow_raises_naming_system_and_m(small_dz, small_partition):
+    ops = _flow_ops(small_dz, dict(length=0.5, half_width=0.05, target_cells=400))
+    vs = build_velocity_space(small_dz, small_partition, "type1", 2, 1.0, 8.0)
+    space = build_multiscale_space(small_dz, small_partition, vs)
+    space.R_u = _with_zero_row(space.R_u)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="singular coarse flow system at M_u=2: zero pivot"):
+        solve_coarse_flow(space, project_flow(space, ops), TimeGrid(0.1, 5))
+
+
+def test_singular_size_fails_alone_in_shared_transport(small_dz, small_partition):
+    # M_c=1 keeps the original rows, M_c=2 also keeps the zero row; only the
+    # singular size fails, and the other still matches a solve of its own
+    ops = assemble_transport(small_dz, D=0.05, alpha=0.01, gamma_c=8.0,
+                             wall_bc="rbc", wall_data=1.0, c_in=0.0, u_h=None)
+    cs = build_concentration_space(small_dz, small_partition, "type2", 2,
+                                   "rbc", "elliptic", 0.05, 0.01, 8.0)
+    n = cs.n_rows
+    rows = {1: np.arange(n), 2: np.arange(n + 1)}
+    space = MultiscaleSpace(R_u=None, R_p=None,
+                            R_c=_with_zero_row(cs.R_c),
+                            concentration_space=SimpleNamespace(rows=rows.get))
+    u = np.tile([0.4, 0.0], 3 * small_dz.mesh.n_cells)
+    c0 = constant_concentration(small_dz, 1.0)
+    grid = TimeGrid(0.2, 4)
+    ok, failed = solve_coarse_transport(small_dz, space, ops.M, ops.A, ops.F,
+                                        lambda s: u, 0.0, grid, c0, (1, 2),
+                                        report_steps=(2,))
+    assert isinstance(failed, np.linalg.LinAlgError)
+    assert "singular coarse transport mass matrix at M_c=2" in str(failed)
+    own = MultiscaleSpace(R_u=None, R_p=None, R_c=cs.R_c)
+    (want,) = solve_coarse_transport(small_dz, own, ops.M, ops.A, ops.F,
+                                     lambda s: u, 0.0, grid, c0,
+                                     report_steps=(2,))
+    assert np.array_equal(ok.coefficients, want.coefficients)
+    assert np.array_equal(ok.reported[2], want.reported[2])

@@ -1,15 +1,18 @@
 """Experiment driver: config IO, inflow data, error metric, sweep outputs."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from channelms import cli, harness
+from channelms import cli, harness, transport_basis
 from channelms.errors import concentration_error, relative_l2_error
 from channelms.harness import (CSV_HEADER, ExperimentConfig, inflow_profile,
                                load_config, run_experiment, save_config)
+from channelms.velocity_basis import VelocitySpace
 
 import oracles
 
@@ -172,23 +175,89 @@ def _check_vtk(path):
 
 
 def test_failed_row_recorded_without_aborting(monkeypatch):
+    # the shared solve gets a zero row that only the M_c=1 space keeps
     calls = {"n": 0}
     orig = harness.solve_coarse_transport
 
-    def flaky(dz, space, M, A, F, velocity_at, c_in, grid, c0, report_steps=()):
+    def singular_at_mc1(dz, space, *args, **kw):
         calls["n"] += 1
-        if space.concentration_space.M == 1:
-            raise RuntimeError("synthetic row failure")
-        return orig(dz, space, M, A, F, velocity_at, c_in, grid, c0,
-                    report_steps=report_steps)
+        n, rows = space.R_c.shape[0], space.concentration_space.rows
+        R_c = sp.vstack([space.R_c, sp.csr_matrix((1, space.R_c.shape[1]))],
+                        format="csr")
+        nested = SimpleNamespace(
+            rows=lambda M: np.append(rows(M), n) if M == 1 else rows(M))
+        return orig(dz, replace(space, R_c=R_c, concentration_space=nested),
+                    *args, **kw)
 
-    monkeypatch.setattr(harness, "solve_coarse_transport", flaky)
+    monkeypatch.setattr(harness, "solve_coarse_transport", singular_at_mc1)
     report = run_experiment(_tiny_cfg())
-    assert calls["n"] == 2
+    assert calls["n"] == 1  # one shared solve steps both M_c
     by_mc = {row["Mc"]: row for row in report.rows}
-    assert "RuntimeError" in by_mc[1]["error"]
-    assert "e_c" in by_mc[2] and by_mc[2]["e_c"]
-    assert "nan" in report.to_csv().splitlines()[1]
+    assert by_mc[1]["error"].startswith(
+        "LinAlgError: singular coarse transport mass matrix at M_c=1")
+    assert "error" not in by_mc[2] and by_mc[2]["e_c"]
+    lines = report.to_csv().splitlines()
+    assert lines[1].split(",")[7:11] == ["nan"] * 4
+    assert "M_c=1" in lines[1].split(",")[-2]
+    assert lines[2].split(",")[-2] == ""
+
+
+@pytest.mark.parametrize("velocity", ["fine", "multiscale"])
+def test_singular_flow_fails_only_its_rows(monkeypatch, velocity):
+    # a zero second mode on domain 0 makes M_u=2 exactly singular; the nested
+    # M_u=1 space does not hold it
+    orig = harness.build_velocity_space
+
+    def zero_second_mode(*args, **kw):
+        vs = orig(*args, **kw)
+        b = vs.bases[0]
+        bases = [replace(b, vectors=b.vectors * [[1.0], [0.0]]), *vs.bases[1:]]
+        return VelocitySpace.stack(vs.kind, vs.M, bases, vs.n_domains,
+                                   vs.R_u.shape[1])
+
+    monkeypatch.setattr(harness, "build_velocity_space", zero_second_mode)
+    report = run_experiment(_tiny_cfg(mu_list=(1, 2), mc_list=(1,),
+                                      transport_velocity=velocity))
+    by_mu = {row["Mu"]: row for row in report.rows}
+    assert by_mu[2]["error"].startswith(
+        "LinAlgError: singular coarse flow system at M_u=2")
+    assert "error" not in by_mu[1] and by_mu[1]["e_c"]
+
+
+def test_empty_wall_family_fails_the_dof_check(monkeypatch):
+    orig = transport_basis.concentration_snapshots
+
+    def no_wall_on_domain_0(dz, partition, i, family, *args):
+        snaps = orig(dz, partition, i, family, *args)
+        if i == 0 and family == "wall":
+            snaps = replace(snaps, nodes=snaps.nodes[:0],
+                            snapshots=snaps.snapshots[:0])
+        return snaps
+
+    monkeypatch.setattr(transport_basis, "concentration_snapshots",
+                        no_wall_on_domain_0)
+    with pytest.raises(RuntimeError, match="concentration space at M=1 "
+                                           "reports 11 coarse dofs, .* gives 12"):
+        run_experiment(_tiny_cfg())
+
+
+@pytest.mark.parametrize("preset", ["test1_rbc", "test3_unstructured"])
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+def test_shared_online_stage_matches_per_row_oracle(preset, kind):
+    # test1_rbc drives transport with the fine velocity, test3_unstructured
+    # with each M_u's reduced velocity
+    cfg = replace(cli.load_preset(preset), target_cells=1500,
+                  velocity_type=kind, concentration_type=kind,
+                  mu_list=(5, 10), mc_list=(1, 3, 5))
+    want = oracles.per_row_sweep(cfg)
+    report = run_experiment(cfg)
+    assert len(report.rows) == len(want) == 6
+    for row in report.rows:
+        e_u, e_c = want[row["Mu"], row["Mc"]]
+        assert np.isclose(row["e_u"], e_u, rtol=1e-10, atol=0)
+        assert set(row["e_c"]) == set(e_c)
+        for key, value in e_c.items():
+            assert np.isclose(row["e_c"][key], value, rtol=1e-10, atol=0)
 
 
 def test_snapshot_mu_must_be_swept(tmp_path):

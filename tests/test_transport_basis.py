@@ -1,10 +1,13 @@
 """Concentration snapshot families, interior bubbles, spectral reduction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from channelms.assembly import LocalDomain, assemble_local_concentration_forms
-from channelms.transport_basis import (build_concentration_space,
+from channelms.transport_basis import (ConcentrationSpace,
+                                       build_concentration_space,
                                        concentration_snapshots,
                                        expected_transport_dof, interior_basis)
 from channelms.velocity_basis import _boundary_node_data
@@ -247,6 +250,33 @@ def test_truncation_equals_direct_build(small_dz, small_partition, kind,
         assert_rows_close(cut.R_c, direct.R_c)
     with pytest.raises(ValueError, match="cannot truncate to M=4"):
         full.truncate(4)
+
+
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+def test_rows_select_the_truncation(small_dz, small_partition, kind):
+    full = build_concentration_space(small_dz, small_partition, kind, 3,
+                                     "rbc", "elliptic", D, ALPHA, GAMMA)
+    for M in (1, 2, 3):
+        assert np.array_equal(full.R_c[full.rows(M)].toarray(),
+                              full.truncate(M).R_c.toarray())
+    with pytest.raises(ValueError, match="cannot truncate to M=4"):
+        full.rows(4)
+
+
+def test_empty_wall_family_counts_its_rows(small_dz, small_partition):
+    # a domain without wall facets has no wall modes: the space has fewer
+    # rows than the closed formula, and reports what it holds
+    full = build_concentration_space(small_dz, small_partition, "type2", 2,
+                                     "rbc", "elliptic", D, ALPHA, GAMMA)
+    bases = [replace(b, eigenvalues=b.eigenvalues[:0], vectors=b.vectors[:0])
+             if (b.domain, b.family) == (0, "wall") else b for b in full.bases]
+    cs = ConcentrationSpace.stack("type2", 2, "rbc", "elliptic", bases,
+                                  full.bubbles, full.R_c.shape[1])
+    N = small_partition.n_domains
+    assert cs.reported_dof() == cs.n_rows == expected_transport_dof("type2", N, 2) - 2
+    for M in (1, 2):
+        assert np.array_equal(cs.R_c[cs.rows(M)].toarray(),
+                              cs.truncate(M).R_c.toarray())
 
 
 def test_rank_shortfall_names_domain_family_rank_and_m(small_dz,

@@ -182,6 +182,16 @@ def test_truncation_equals_direct_build(small_dz, small_partition, kind):
         full.truncate(6)
 
 
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+def test_rows_select_the_truncation(small_dz, small_partition, kind):
+    full = build_velocity_space(small_dz, small_partition, kind, 4, 1.0, 8.0)
+    for M in (1, 3, 4):
+        assert np.array_equal(full.R_u[full.rows(M)].toarray(),
+                              full.truncate(M).R_u.toarray())
+    with pytest.raises(ValueError, match="cannot truncate to M=5"):
+        full.rows(5)
+
+
 def test_rank_shortfall_names_domain_direction_rank_and_m(small_dz,
                                                           small_partition):
     with pytest.raises(ValueError, match=r"domain 0 \(direction 0\), M=500: "
