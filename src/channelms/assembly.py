@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,6 +58,19 @@ class Discretization:
             facet_geom=FacetGeometry.from_mesh(mesh),
             quad=quadrature(DEFAULT_FACET_ORDER),
         )
+
+    # cached_property writes the instance __dict__ directly, so it works on
+    # this frozen (slot-free) dataclass; each mass is assembled on first use
+
+    @cached_property
+    def mass(self) -> sp.csr_matrix:
+        """The unit-coefficient concentration mass matrix."""
+        return scalar_mass(self)
+
+    @cached_property
+    def vector_mass(self) -> sp.csr_matrix:
+        """The unit-coefficient velocity mass matrix."""
+        return expand_to_vector(self.mass)
 
 
 @dataclass

@@ -1,12 +1,16 @@
 """Coarse (reduced-order) flow and transport solves.
 
 Projection matrices stack the per-domain basis rows; pressure is reduced to
-one piecewise-constant value per domain.  The online stage works at coarse
-size: the fine operators are projected once onto the largest space of a
-sweep, and every smaller (nested) space takes the principal submatrix of the
-rows that its `rows(M)` keeps.  Coarse systems are dense and tiny; each
-distinct one is LU-factored once and reused at every step.  Reconstruction is
-the transpose map back to fine dofs.
+one piecewise-constant value per domain.  Every basis row is supported on one
+coarse domain, so each coarse operator R X Rᵀ is a set of small dense blocks,
+one per pair of neighbouring domains.  `galerkin` builds them from each
+domain's dense mode block with BLAS (`DomainBlocks`), serially, so results do
+not depend on the thread count.  The online stage works at coarse size: the
+fine operators are projected once onto the largest space of a sweep, and
+every smaller (nested) space takes the principal submatrix of the rows that
+its `rows(M)` keeps.  Coarse systems are dense and tiny; each distinct one is
+LU-factored once and reused at every step.  Reconstruction is the transpose
+map back to fine dofs.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ class MultiscaleSpace:
     R_u: sp.csr_matrix
     R_p: sp.csr_matrix  # 0/1 domain indicators over pressure dofs
     R_c: sp.csr_matrix | None
+    partition: CoarsePartition
     velocity_space: VelocitySpace | None = None
     concentration_space: ConcentrationSpace | None = None
 
@@ -52,6 +57,7 @@ def build_multiscale_space(dz: Discretization, partition: CoarsePartition,
         R_u=velocity_space.R_u,
         R_p=pressure_indicators(dz, partition),
         R_c=None if concentration_space is None else concentration_space.R_c,
+        partition=partition,
         velocity_space=velocity_space,
         concentration_space=concentration_space,
     )
@@ -72,14 +78,94 @@ class CoarseFlowOperators:
                                    B=self.B[:, ix], Fu=self.Fu[ix], Fp=self.Fp)
 
 
+class DomainBlocks:
+    """The rows of a projection matrix R grouped by the coarse domain that
+    holds their support.
+
+    `dof_domain` maps each fine dof (column of R) to its domain.  Domain d
+    owns the fine dofs perm[offsets[d]:offsets[d+1]] and the rows rows[d] of
+    R; V[d] = R[rows[d]][:, those dofs] is its dense mode block.  All-zero
+    rows belong to no domain, so they project to zero.
+    """
+
+    def __init__(self, R: sp.spmatrix, dof_domain: np.ndarray):
+        R = sp.csr_matrix(R)
+        self.n_rows, n_dofs = R.shape
+        if len(dof_domain) != n_dofs:
+            raise ValueError(f"{len(dof_domain)} dof domains for "
+                             f"{n_dofs} projection columns")
+        self.perm = np.argsort(dof_domain, kind="stable")
+        self.domain = dof_domain[self.perm]  # of each permuted dof
+        n_domains = int(self.domain[-1]) + 1 if n_dofs else 0
+        self.offsets = np.searchsorted(self.domain, np.arange(n_domains + 1))
+
+        if not (R.has_canonical_format and R.data.all()):
+            R = R.copy()
+            R.sum_duplicates()
+            R.eliminate_zeros()
+        held = np.flatnonzero(np.diff(R.indptr))
+        row_domain = np.full(self.n_rows, -1)
+        row_domain[held] = dof_domain[R.indices[R.indptr[held]]]
+        self.rows = [np.flatnonzero(row_domain == d) for d in range(n_domains)]
+
+        col_local = np.empty(n_dofs, dtype=np.int64)
+        col_local[self.perm] = np.arange(n_dofs) - self.offsets[self.domain]
+        self.V = []
+        for d, (rows, width) in enumerate(zip(self.rows, np.diff(self.offsets))):
+            sub = R[rows]
+            stray = np.flatnonzero(dof_domain[sub.indices] != d)
+            if len(stray):
+                row = rows[np.searchsorted(sub.indptr, stray[0], side="right") - 1]
+                other = dof_domain[sub.indices[stray[0]]]
+                raise ValueError(f"projection row {row} spans domains "
+                                 f"{min(d, other)} and {max(d, other)}")
+            V = np.zeros((len(rows), width))
+            V[np.repeat(np.arange(len(rows)), np.diff(sub.indptr)),
+              col_local[sub.indices]] = sub.data
+            self.V.append(V)
+
+
+def galerkin(X: sp.spmatrix, L: DomainBlocks, R: DomainBlocks,
+             symmetric: bool = False) -> np.ndarray:
+    """The dense L X Rᵀ, one block V_i X_ij V_jᵀ per pair of domains (i, j)
+    that X couples, with the fine dofs of each domain made contiguous.
+
+    `symmetric` declares a symmetric X projected on both sides by the same
+    blocks: only the blocks with j >= i are computed, each block below the
+    diagonal is the transpose of its mirror and each diagonal block is
+    replaced by its symmetric part, so the result is exactly symmetric.
+    """
+    if symmetric and L is not R:
+        raise ValueError("a symmetric projection needs one set of blocks")
+    X = sp.csr_matrix(X)[L.perm][:, R.perm]
+    H = np.zeros((L.n_rows, R.n_rows))
+    for i, (rows_i, V_i) in enumerate(zip(L.rows, L.V)):
+        X_i = X[L.offsets[i]:L.offsets[i + 1]]
+        touched = np.bincount(R.domain[X_i.indices], minlength=len(R.rows))
+        if symmetric:
+            touched[:i] = 0
+        for j in np.flatnonzero(touched):
+            rows_j = R.rows[j]
+            X_ij = X_i[:, R.offsets[j]:R.offsets[j + 1]]
+            block = V_i @ (X_ij @ R.V[j].T)
+            if symmetric and j == i:
+                block = (block + block.T) / 2
+            H[np.ix_(rows_i, rows_j)] = block
+            if symmetric and j != i:
+                H[np.ix_(rows_j, rows_i)] = block.T
+    return H
+
+
 def project_flow(space: MultiscaleSpace, ops: FlowOperators) -> CoarseFlowOperators:
-    Ru, Rp = space.R_u, space.R_p
+    cell_domain = space.partition.cell_to_domain
+    U = DomainBlocks(space.R_u, np.repeat(cell_domain, 6))
+    P = DomainBlocks(space.R_p, cell_domain)
     return CoarseFlowOperators(
-        M=np.asarray((Ru @ ops.M @ Ru.T).todense()),
-        A=np.asarray((Ru @ ops.A @ Ru.T).todense()),
-        B=np.asarray((Rp @ ops.B @ Ru.T).todense()),
-        Fu=np.asarray(Ru @ ops.Fu),
-        Fp=np.asarray(Rp @ ops.Fp),
+        M=galerkin(ops.M, U, U, symmetric=True),
+        A=galerkin(ops.A, U, U, symmetric=True),
+        B=galerkin(ops.B, P, U),
+        Fu=np.asarray(space.R_u @ ops.Fu),
+        Fp=np.asarray(space.R_p @ ops.Fp),
     )
 
 
@@ -188,25 +274,20 @@ def solve_coarse_transport(dz: Discretization, space: MultiscaleSpace,
                            mc_list=(None,), report_steps=()) -> list:
     """Reduced implicit Euler transport on every nested space of `mc_list`.
 
-    M, A, F_static are the fine operators.  They, the initial state and the
-    convection of each distinct `velocity_at(step)` array are projected once
-    onto `space`, the largest M_c.  Each M_c takes the principal submatrix of
-    its rows and factors its system once per distinct velocity; all of them
-    step together.  Returns one entry per M_c: its CoarseTransportSolution,
-    or the LinAlgError that stopped it while the others kept stepping.
-    M_c = None stands for the whole space.
+    M, A, F_static are the fine operators (M and A symmetric).  They, the
+    initial state and the convection of each distinct `velocity_at(step)`
+    array are projected once onto `space`, the largest M_c, by domain blocks.
+    Each M_c takes the principal submatrix of its rows and factors its system
+    once per distinct velocity; all of them step together.  Returns one entry
+    per M_c: its CoarseTransportSolution, or the LinAlgError that stopped it
+    while the others kept stepping.  M_c = None stands for the whole space.
     """
     Rc = space.R_c
     tau = grid.tau
+    blocks = DomainBlocks(Rc, np.repeat(space.partition.cell_to_domain, 3))
 
-    def project(X):
-        # Rᵀ is converted per product on purpose: a kept copy would stay
-        # alive through every fine convection assembly and add its size
-        # (12 MB at 8000 cells and 410 rows) to the peak heap
-        return (Rc @ X @ Rc.T).toarray()
-
-    M_H = project(M)
-    A_H = project(A)
+    M_H = galerkin(M, blocks, blocks, symmetric=True)
+    A_H = galerkin(A, blocks, blocks, symmetric=True)
     F_H = np.asarray(Rc @ F_static)
     m0 = np.asarray(Rc @ (M @ np.asarray(c0, dtype=float)))
 
@@ -225,7 +306,7 @@ def solve_coarse_transport(dz: Discretization, space: MultiscaleSpace,
             K, F = M_H / tau + A_H, F_H
             if u is not None:
                 C, Fc = assemble_convection(dz, u, c_in)
-                K, F = K + project(C), F + np.asarray(Rc @ Fc)
+                K, F = K + galerkin(C, blocks, blocks), F + np.asarray(Rc @ Fc)
                 del C, Fc  # no two fine convection matrices alive at once
             for run in list(runs):
                 try:

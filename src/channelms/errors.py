@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import Discretization, expand_to_vector, scalar_mass
+from .assembly import Discretization
 
 
 def relative_l2_error(mass, approx: np.ndarray, ref: np.ndarray) -> float:
@@ -18,8 +18,8 @@ def relative_l2_error(mass, approx: np.ndarray, ref: np.ndarray) -> float:
 
 
 def concentration_error(dz: Discretization, approx, ref) -> float:
-    return relative_l2_error(scalar_mass(dz), approx, ref)
+    return relative_l2_error(dz.mass, approx, ref)
 
 
 def velocity_error(dz: Discretization, approx, ref) -> float:
-    return relative_l2_error(expand_to_vector(scalar_mass(dz)), approx, ref)
+    return relative_l2_error(dz.vector_mass, approx, ref)

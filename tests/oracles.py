@@ -413,12 +413,17 @@ def local_diffusion_with_bc(md: MeshData, cells, D, gamma_c,
 # fine-size convection, projection and dense solves at every step
 # --------------------------------------------------------------------------
 
+def galerkin(X, L, R):
+    """The dense coarse operator L X Rᵀ as a sparse triple product."""
+    return (L @ X @ R.T).toarray()
+
+
 def per_row_coarse_flow(Ru, Rp, ops, grid, steady_tol):
     """Implicit Euler on the reduced saddle system, one dense solve a step;
     returns the fine-size velocity of every step taken."""
-    M = (Ru @ ops.M @ Ru.T).toarray()
-    A = (Ru @ ops.A @ Ru.T).toarray()
-    B = (Rp @ ops.B @ Ru.T).toarray()
+    M = galerkin(ops.M, Ru, Ru)
+    A = galerkin(ops.A, Ru, Ru)
+    B = galerkin(ops.B, Rp, Ru)
     Fu, Fp = Ru @ ops.Fu, Rp @ ops.Fp
     nU, nP = A.shape[0], B.shape[0]
     K = np.zeros((nU + nP, nU + nP))
@@ -441,8 +446,8 @@ def per_row_coarse_transport(dz, Rc, M, A, F, velocity_at, c_in, grid, c0,
     and projected at fine size whenever the velocity array changes."""
     from channelms.assembly import assemble_convection
 
-    M_H = (Rc @ M @ Rc.T).toarray()
-    A_H = (Rc @ A @ Rc.T).toarray()
+    M_H = galerkin(M, Rc, Rc)
+    A_H = galerkin(A, Rc, Rc)
     F_H = Rc @ F
     cH = np.linalg.solve(M_H, Rc @ (M @ c0))
     reported, cached_u = {}, object()
@@ -450,7 +455,7 @@ def per_row_coarse_transport(dz, Rc, M, A, F, velocity_at, c_in, grid, c0,
         u = velocity_at(step)
         if u is not cached_u:
             C, Fc = assemble_convection(dz, u, c_in)
-            K = M_H / grid.tau + A_H + (Rc @ C @ Rc.T).toarray()
+            K = M_H / grid.tau + A_H + galerkin(C, Rc, Rc)
             Fc_H = Rc @ Fc
             cached_u = u
         cH = np.linalg.solve(K, F_H + Fc_H + M_H @ cH / grid.tau)

@@ -184,3 +184,11 @@ def test_dirichlet_rhs_consistency(tiny_dz):
                              wall_bc="dbc", wall_data=2.5, c_in=2.5, u_h=None)
     ones = np.full(tiny_dz.dofs.n_concentration, 2.5)
     assert np.abs(ops.A @ ones - ops.F).max() < 1e-10
+
+
+def test_discretization_masses_assembled_once(tiny_dz):
+    assert tiny_dz.mass is tiny_dz.mass
+    assert tiny_dz.vector_mass is tiny_dz.vector_mass
+    assert _diff(tiny_dz.mass, scalar_mass(tiny_dz).toarray()) == 0.0
+    assert _diff(tiny_dz.vector_mass,
+                 expand_to_vector(scalar_mass(tiny_dz)).toarray()) == 0.0

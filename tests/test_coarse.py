@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from channelms.assembly import assemble_flow, assemble_transport
-from channelms.coarse_solver import (MultiscaleSpace, build_multiscale_space,
+from channelms.assembly import (assemble_convection, assemble_flow,
+                                assemble_transport)
+from channelms.coarse_solver import (DomainBlocks, MultiscaleSpace,
+                                     build_multiscale_space, galerkin,
                                      pressure_indicators, project_flow,
                                      solve_coarse_flow, solve_coarse_transport)
 from channelms.fine_solver import (TimeGrid, constant_concentration,
                                    solve_flow, solve_transport)
 from channelms.harness import ExperimentConfig, inflow_profile
+from channelms.mesh import partition_coarse
 from channelms.transport_basis import build_concentration_space
 from channelms.velocity_basis import build_velocity_space
+
+import oracles
 
 
 def _identity_space(dz, partition, with_c=False):
@@ -22,6 +27,7 @@ def _identity_space(dz, partition, with_c=False):
         R_u=sp.identity(dz.dofs.n_velocity, format="csr"),
         R_p=sp.identity(dz.mesh.n_cells, format="csr"),
         R_c=sp.identity(dz.dofs.n_concentration, format="csr") if with_c else None,
+        partition=partition,
     )
 
 
@@ -112,7 +118,8 @@ def test_reduced_transport_step_equation(small_dz, small_partition):
                              wall_bc="rbc", wall_data=1.0, c_in=0.0, u_h=None)
     cs = build_concentration_space(small_dz, small_partition, "type2", 2,
                                    "rbc", "elliptic", 0.05, 0.01, 8.0)
-    space = MultiscaleSpace(R_u=None, R_p=None, R_c=cs.R_c)
+    space = MultiscaleSpace(R_u=None, R_p=None, R_c=cs.R_c,
+                            partition=small_partition)
     c0 = constant_concentration(small_dz, 1.0)
     grid = TimeGrid(0.1, 1)
     (sol,) = solve_coarse_transport(small_dz, space, ops.M, ops.A, ops.F,
@@ -154,6 +161,7 @@ def test_singular_size_fails_alone_in_shared_transport(small_dz, small_partition
     rows = {1: np.arange(n), 2: np.arange(n + 1)}
     space = MultiscaleSpace(R_u=None, R_p=None,
                             R_c=_with_zero_row(cs.R_c),
+                            partition=small_partition,
                             concentration_space=SimpleNamespace(rows=rows.get))
     u = np.tile([0.4, 0.0], 3 * small_dz.mesh.n_cells)
     c0 = constant_concentration(small_dz, 1.0)
@@ -163,9 +171,79 @@ def test_singular_size_fails_alone_in_shared_transport(small_dz, small_partition
                                         report_steps=(2,))
     assert isinstance(failed, np.linalg.LinAlgError)
     assert "singular coarse transport mass matrix at M_c=2" in str(failed)
-    own = MultiscaleSpace(R_u=None, R_p=None, R_c=cs.R_c)
+    own = MultiscaleSpace(R_u=None, R_p=None, R_c=cs.R_c,
+                          partition=small_partition)
     (want,) = solve_coarse_transport(small_dz, own, ops.M, ops.A, ops.F,
                                      lambda s: u, 0.0, grid, c0,
                                      report_steps=(2,))
     assert np.array_equal(ok.coefficients, want.coefficients)
     assert np.array_equal(ok.reported[2], want.reported[2])
+
+
+def _close_to_oracle(H, X, L, R):
+    want = oracles.galerkin(X, L, R)
+    assert H.shape == want.shape
+    assert np.abs(H - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("mode", ["structured", "unstructured"])
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+def test_galerkin_matches_sparse_products(small_mesh, small_dz, mode, kind):
+    dz = small_dz
+    part = partition_coarse(small_mesh, 4, mode=mode)
+    cells = part.cell_to_domain
+    vs = build_velocity_space(dz, part, kind, 2, 1.0, 8.0)
+    cs = build_concentration_space(dz, part, kind, 2, "rbc", "elliptic",
+                                   0.05, 0.01, 8.0)
+    Ru, Rp, Rc = vs.R_u, pressure_indicators(dz, part), cs.R_c
+    U = DomainBlocks(Ru, np.repeat(cells, 6))
+    P = DomainBlocks(Rp, cells)
+    C = DomainBlocks(Rc, np.repeat(cells, 3))
+    flow = _flow_ops(dz, dict(length=0.5, half_width=0.05, target_cells=400))
+    tops = assemble_transport(dz, D=0.05, alpha=0.01, gamma_c=8.0,
+                              wall_bc="rbc", wall_data=1.0, c_in=1.0, u_h=None)
+    for X, B, R in ((flow.M, U, Ru), (flow.A, U, Ru),
+                    (tops.M, C, Rc), (tops.A, C, Rc)):
+        for symmetric in (False, True):
+            H = galerkin(X, B, B, symmetric=symmetric)
+            _close_to_oracle(H, X, R, R)
+        assert np.array_equal(H, H.T)
+    _close_to_oracle(galerkin(flow.B, P, U), flow.B, Rp, Ru)
+    conv, _ = assemble_convection(dz, np.tile([0.4, 0.1], 3 * dz.mesh.n_cells),
+                                  1.0)
+    assert conv.nnz
+    _close_to_oracle(galerkin(conv, C, C), conv, Rc, Rc)
+
+
+def test_galerkin_identity_and_zero_rows(small_dz, small_partition):
+    dz, cells = small_dz, small_partition.cell_to_domain
+    dof_domain = np.repeat(cells, 3)
+    tops = assemble_transport(dz, D=0.05, alpha=0.01, gamma_c=8.0,
+                              wall_bc="rbc", wall_data=1.0, c_in=1.0, u_h=None)
+    eye = DomainBlocks(sp.identity(dz.dofs.n_concentration, format="csr"),
+                       dof_domain)
+    assert np.array_equal(galerkin(tops.A, eye, eye), tops.A.toarray())
+
+    cs = build_concentration_space(dz, small_partition, "type1", 2, "rbc",
+                                   "elliptic", 0.05, 0.01, 8.0)
+    R = cs.R_c
+    padded = DomainBlocks(_with_zero_row(R), dof_domain)
+    H = galerkin(tops.A, padded, padded)
+    n = R.shape[0]
+    assert np.all(H[n] == 0.0) and np.all(H[:, n] == 0.0)
+    plain = DomainBlocks(R, dof_domain)
+    assert np.array_equal(H[:n, :n], galerkin(tops.A, plain, plain))
+
+
+def test_domain_blocks_misuse_is_rejected(small_partition):
+    dof_domain = np.repeat(small_partition.cell_to_domain, 3)
+    a = np.flatnonzero(dof_domain == 0)[0]
+    b = np.flatnonzero(dof_domain == 1)[0]
+    R = sp.csr_matrix((np.ones(3), ([0, 1, 1], [a, a, b])),
+                      shape=(2, len(dof_domain)))
+    with pytest.raises(ValueError, match="projection row 1 spans domains 0 and 1"):
+        DomainBlocks(R, dof_domain)
+    eye = sp.identity(len(dof_domain), format="csr")
+    L, R = DomainBlocks(eye, dof_domain), DomainBlocks(eye, dof_domain)
+    with pytest.raises(ValueError, match="one set of blocks"):
+        galerkin(eye, L, R, symmetric=True)

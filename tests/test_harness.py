@@ -260,6 +260,20 @@ def test_shared_online_stage_matches_per_row_oracle(preset, kind):
             assert np.isclose(row["e_c"][key], value, rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+def test_sweep_errors_do_not_depend_on_threads(kind):
+    cfg = _tiny_cfg(target_cells=1200, n_domains=6, partition_mode="unstructured",
+                    transport_velocity="multiscale", velocity_type=kind,
+                    concentration_type=kind, mu_list=(2, 4), mc_list=(1, 3))
+    errors = {}
+    for threads in (1, 2):
+        report = run_experiment(replace(cfg, threads=threads))
+        assert len(report.rows) == 4 and all("error" not in r for r in report.rows)
+        errors[threads] = [(r["Mu"], r["Mc"], r["e_u"], r["e_c"])
+                           for r in report.rows]
+    assert errors[1] == errors[2]  # bitwise: floats compare exactly
+
+
 def test_snapshot_mu_must_be_swept(tmp_path):
     with pytest.raises(ValueError, match="snapshot_mu"):
         run_experiment(_tiny_cfg(snapshot_mu=7))
