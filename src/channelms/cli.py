@@ -89,31 +89,15 @@ def cmd_fine(args):
 
 
 def cmd_basis(args):
-    from .transport_basis import build_concentration_space
-    from .velocity_basis import build_velocity_space
     cfg = _resolve_config(args)
-    fine = harness.run_fine_phase(cfg)
-    Mu, Mc = cfg.mu_list[-1], cfg.mc_list[-1]
-    vs = build_velocity_space(fine.dz, fine.partition, cfg.velocity_type, Mu,
-                              cfg.mu, cfg.gamma_u, threads=cfg.threads)
-    kw = {}
-    if cfg.variant == "timevelocity":
-        from .coarse_solver import build_multiscale_space, project_flow, solve_coarse_flow
-        space = build_multiscale_space(fine.dz, fine.partition, vs, None)
-        cf = solve_coarse_flow(space, project_flow(space, fine.flow_ops),
-                               fine.grid)
-        kw = dict(u_ms=cf.final_velocity, tau=fine.grid.tau)
-    cs = build_concentration_space(fine.dz, fine.partition,
-                                   cfg.concentration_type, Mc, cfg.bc_kind,
-                                   cfg.variant, cfg.diffusion, cfg.alpha,
-                                   cfg.gamma_c, threads=cfg.threads, **kw)
-    print(f"velocity space: {vs.n_rows} rows, reported dof {vs.reported_dof()}")
-    print(f"concentration space: {cs.n_rows} rows, reported dof {cs.reported_dof()}")
-    if args.out:
-        cfg2 = replace(cfg, out_dir=args.out)
-        harness._dump_eigen(cfg2, f"eigen_u_M{Mu}.csv", vs.eigen_rows)
-        harness._dump_eigen(cfg2, f"eigen_c_{cfg.variant}_M{Mc}.csv", cs.eigen_rows)
-        print(f"wrote eigenvalue CSVs to {args.out}")
+    offline = harness.run_offline_phase(cfg, harness.run_fine_phase(cfg))
+    for name, space, M in (("velocity", offline.velocity, cfg.mu_list[-1]),
+                           ("concentration", offline.concentration,
+                            cfg.mc_list[-1])):
+        print(f"{name} space: {space.R.shape[0]} rows, "
+              f"reported dof {space.reported_dof(M)}")
+    if cfg.out_dir:
+        print(f"wrote eigenvalue CSVs to {cfg.out_dir}")
 
 
 def cmd_coarse(args):

@@ -25,20 +25,21 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from .assembly import Discretization, FlowOperators, assemble_convection
 from .fine_solver import STEADY_TOL, TimeGrid
 from .mesh import CoarsePartition
-from .transport_basis import ConcentrationSpace
-from .velocity_basis import VelocitySpace
+from .spectral import NestedSpace
 
 
 @dataclass
 class MultiscaleSpace:
-    """Projection matrices for the reduced spaces."""
+    """Projection matrices for the reduced spaces: the velocity rows of size
+    Mu (all rows when None) and the whole concentration space, whose nested
+    sizes the transport solve takes by `concentration_space.rows`."""
 
     R_u: sp.csr_matrix
     R_p: sp.csr_matrix  # 0/1 domain indicators over pressure dofs
     R_c: sp.csr_matrix | None
     partition: CoarsePartition
-    velocity_space: VelocitySpace | None = None
-    concentration_space: ConcentrationSpace | None = None
+    Mu: int | None = None
+    concentration_space: NestedSpace | None = None
 
 
 def pressure_indicators(dz: Discretization, partition: CoarsePartition) -> sp.csr_matrix:
@@ -50,15 +51,20 @@ def pressure_indicators(dz: Discretization, partition: CoarsePartition) -> sp.cs
 
 
 def build_multiscale_space(dz: Discretization, partition: CoarsePartition,
-                           velocity_space: VelocitySpace,
-                           concentration_space: ConcentrationSpace | None = None
-                           ) -> MultiscaleSpace:
+                           velocity_space: NestedSpace,
+                           concentration_space: NestedSpace | None = None,
+                           Mu: int | None = None) -> MultiscaleSpace:
+    R_u = velocity_space.R
+    if Mu is not None:
+        ix = velocity_space.rows(Mu)
+        if len(ix) < R_u.shape[0]:  # the largest size is R itself, uncopied
+            R_u = R_u[ix]
     return MultiscaleSpace(
-        R_u=velocity_space.R_u,
+        R_u=R_u,
         R_p=pressure_indicators(dz, partition),
-        R_c=None if concentration_space is None else concentration_space.R_c,
+        R_c=None if concentration_space is None else concentration_space.R,
         partition=partition,
-        velocity_space=velocity_space,
+        Mu=Mu,
         concentration_space=concentration_space,
     )
 
@@ -214,8 +220,7 @@ def solve_coarse_flow(space: MultiscaleSpace, cops: CoarseFlowOperators,
     K[:nU, :nU] = cops.M / tau + cops.A
     K[:nU, nU:] = cops.B.T
     K[nU:, :nU] = cops.B
-    M = None if space.velocity_space is None else space.velocity_space.M
-    lu = factor(K, f"coarse flow system at M_u={M}")
+    lu = factor(K, f"coarse flow system at M_u={space.Mu}")
 
     uH = np.zeros(nU)
     sol = CoarseFlowSolution(coefficients=[uH], pressures=[np.zeros(nP)],

@@ -24,6 +24,7 @@ from .errors import concentration_error, velocity_error
 from .fine_solver import (TimeGrid, constant_concentration, solve_flow,
                           solve_transport)
 from .mesh import ChannelParams, generate_channel, partition_coarse
+from .spectral import NestedSpace
 from .transport_basis import build_concentration_space, expected_transport_dof
 from .velocity_basis import build_velocity_space, expected_flow_dof
 from .vtkio import write_vtk
@@ -88,6 +89,14 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be nonnegative")
         if self.mu <= 0 or self.diffusion <= 0 or self.t_max <= 0:
             raise ValueError("mu, diffusion and t_max must be positive")
+        for name in ("n_domains", "n_steps", "threads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.partition_mode not in ("structured", "unstructured"):
+            raise ValueError(f"unknown partition_mode {self.partition_mode!r}")
+        for name in ("velocity_type", "concentration_type"):
+            if getattr(self, name).lower() not in ("type1", "type2"):
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         for name in ("mu_list", "mc_list"):
             ms = list(getattr(self, name))
             if not ms or ms != sorted(ms) or len(set(ms)) != len(ms):
@@ -292,6 +301,68 @@ def run_fine_phase(cfg: ExperimentConfig, timings: dict | None = None) -> FinePh
                      transport=transport, c0=c0, report=report, hash=h)
 
 
+@dataclass
+class OfflinePhase:
+    """Both nested spaces of a sweep, each built once at its largest size,
+    and the coarse flow of every M_u (time+velocity snapshots need one)."""
+
+    velocity: NestedSpace
+    concentration: NestedSpace
+    flows: dict  # Mu -> (coarse flow or the error that stopped it, e_u)
+
+
+def run_offline_phase(cfg: ExperimentConfig, fine: FinePhase,
+                      timings: dict | None = None) -> OfflinePhase:
+    """Build the velocity space at the largest M_u and solve the coarse flow
+    of every M_u on its rows, then build the concentration space at the
+    largest M_c from the coarse flow at `snapshot_mu`.  Checks the dof count
+    of every size and writes the eigenvalue CSVs."""
+    timings = {} if timings is None else timings
+    dz, partition, grid = fine.dz, fine.partition, fine.grid
+    u_ref = fine.flow.velocity_at(grid.n_steps)
+
+    # one flow projection at the largest M_u; each smaller M_u takes the
+    # principal submatrix of its rows
+    t0 = time.perf_counter()
+    vs = build_velocity_space(dz, partition, cfg.velocity_type,
+                              cfg.mu_list[-1], cfg.mu, cfg.gamma_u,
+                              threads=cfg.threads)
+    cops_max = project_flow(build_multiscale_space(dz, partition, vs),
+                            fine.flow_ops)
+    flows = {}
+    for Mu in cfg.mu_list:
+        _check_dof("velocity", Mu, vs.reported_dof(Mu),
+                   expected_flow_dof(cfg.velocity_type, cfg.n_domains, Mu))
+        _dump_eigen(cfg, f"eigen_u_M{Mu}.csv", vs.eigen_rows)
+        try:
+            cf = solve_coarse_flow(build_multiscale_space(dz, partition, vs, Mu=Mu),
+                                   cops_max.restrict(vs.rows(Mu)), grid)
+            flows[Mu] = (cf, velocity_error(dz, cf.final_velocity, u_ref))
+        except np.linalg.LinAlgError as exc:  # fails the rows of this M_u only
+            flows[Mu] = (exc, None)
+    timings["velocity_basis"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    kw = {}
+    if cfg.variant == "timevelocity":
+        snap_mu = cfg.snapshot_mu if cfg.snapshot_mu is not None else cfg.mu_list[-1]
+        snap_flow = flows[snap_mu][0]
+        if isinstance(snap_flow, Exception):
+            raise snap_flow
+        kw = dict(u_ms=snap_flow.final_velocity, tau=grid.tau)
+    cs = build_concentration_space(dz, partition, cfg.concentration_type,
+                                   cfg.mc_list[-1], cfg.bc_kind, cfg.variant,
+                                   cfg.diffusion, cfg.alpha, cfg.gamma_c,
+                                   threads=cfg.threads, **kw)
+    for Mc in cfg.mc_list:
+        _check_dof("concentration", Mc, cs.reported_dof(Mc),
+                   expected_transport_dof(cfg.concentration_type,
+                                          cfg.n_domains, Mc))
+        _dump_eigen(cfg, f"eigen_c_{cfg.variant}_M{Mc}.csv", cs.eigen_rows)
+    timings["concentration_basis"] = time.perf_counter() - t0
+    return OfflinePhase(velocity=vs, concentration=cs, flows=flows)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     """Run the fine reference once, then all (M_u, M_c) sweep rows."""
     cfg.validate()
@@ -302,64 +373,18 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     report = ErrorReport(config=cfg, fine_dof_u=dz.dofs.n_velocity + dz.dofs.n_pressure,
                          fine_dof_c=dz.dofs.n_concentration, fine_hash=fine.hash,
                          timings=timings)
-    u_ref = fine.flow.velocity_at(grid.n_steps)
     report_keys = dict(zip(fine.report, ("m10", "m20", "m30", "m40")))
-
-    # velocity phase: one build and one flow projection at the largest M_u;
-    # the modes are nested, so every smaller M_u is a truncation of the space
-    # and a principal submatrix of the coarse operators
-    t0 = time.perf_counter()
-    vs_max = build_velocity_space(dz, partition, cfg.velocity_type,
-                                  cfg.mu_list[-1], cfg.mu, cfg.gamma_u,
-                                  threads=cfg.threads)
-    cops_max = project_flow(build_multiscale_space(dz, partition, vs_max),
-                            fine.flow_ops)
-    flows = {}  # Mu -> (space, coarse flow or the error that stopped it, e_u)
-    for Mu in cfg.mu_list:
-        vs = vs_max.truncate(Mu)
-        _check_dof("velocity", Mu, vs.reported_dof(),
-                   expected_flow_dof(cfg.velocity_type, cfg.n_domains, Mu))
-        _dump_eigen(cfg, f"eigen_u_M{Mu}.csv", vs.eigen_rows)
-        try:
-            cf = solve_coarse_flow(build_multiscale_space(dz, partition, vs),
-                                   cops_max.restrict(vs_max.rows(Mu)), grid)
-            flows[Mu] = (vs, cf, velocity_error(dz, cf.final_velocity, u_ref))
-        except np.linalg.LinAlgError as exc:  # fails the rows of this M_u only
-            flows[Mu] = (vs, exc, None)
-    timings["velocity_basis"] = time.perf_counter() - t0
-
-    # u_ms for time+velocity snapshots: largest swept M_u unless overridden
-    snap_mu = cfg.snapshot_mu if cfg.snapshot_mu is not None else cfg.mu_list[-1]
-
-    t0 = time.perf_counter()
-    kw = {}
-    if cfg.variant == "timevelocity":
-        snap_flow = flows[snap_mu][1]
-        if isinstance(snap_flow, Exception):
-            raise snap_flow
-        kw = dict(u_ms=snap_flow.final_velocity, tau=grid.tau)
-    cs_max = build_concentration_space(dz, partition, cfg.concentration_type,
-                                       cfg.mc_list[-1], cfg.bc_kind, cfg.variant,
-                                       cfg.diffusion, cfg.alpha, cfg.gamma_c,
-                                       threads=cfg.threads, **kw)
-    dof_c = {}
-    for Mc in cfg.mc_list:
-        cs = cs_max.truncate(Mc)
-        dof_c[Mc] = cs.reported_dof()
-        _check_dof("concentration", Mc, dof_c[Mc],
-                   expected_transport_dof(cfg.concentration_type,
-                                          cfg.n_domains, Mc))
-        _dump_eigen(cfg, f"eigen_c_{cfg.variant}_M{Mc}.csv", cs.eigen_rows)
-    timings["concentration_basis"] = time.perf_counter() - t0
+    offline = run_offline_phase(cfg, fine, timings)
 
     # transport phase: one shared solve per velocity source steps every M_c;
     # each row is charged an even share of the solve and of its errors
     t0 = time.perf_counter()
-    space_c = build_multiscale_space(dz, partition, vs_max, cs_max)
+    space_c = build_multiscale_space(dz, partition, offline.velocity,
+                                     offline.concentration)
     if cfg.transport_velocity == "fine":
         sources = [(cfg.mu_list, fine.flow.velocity_at)]
     else:
-        sources = [((Mu,), cf.velocity_at) for Mu, (_, cf, _) in flows.items()
+        sources = [((Mu,), cf.velocity_at) for Mu, (cf, _) in offline.flows.items()
                    if not isinstance(cf, Exception)]
     outcomes = {}  # (Mu, Mc) -> (final field or error, e_c, seconds)
     for mus, velocity_at in sources:
@@ -389,12 +414,14 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
 
     last_ok = None
     for Mu in cfg.mu_list:
-        vs, cf, e_u = flows[Mu]
+        cf, e_u = offline.flows[Mu]
+        dof_u = offline.velocity.reported_dof(Mu)
         for Mc in cfg.mc_list:
             final, e_c, seconds = outcomes.get((Mu, Mc), (cf, {}, 0.0))
             row = {"type": cfg.concentration_type, "variant": cfg.variant,
-                   "Mu": Mu, "Mc": Mc, "dof_u_H": vs.reported_dof(),
-                   "dof_c_H": dof_c[Mc], "e_u": e_u, "e_c": {},
+                   "Mu": Mu, "Mc": Mc, "dof_u_H": dof_u,
+                   "dof_c_H": offline.concentration.reported_dof(Mc),
+                   "e_u": e_u, "e_c": {},
                    "seconds_total": seconds}
             failure = next((x for x in (cf, final) if isinstance(x, Exception)),
                            None)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +24,7 @@ from .assembly import (Discretization, LocalDomain,
                        local_diffusion_with_bc, local_upwind_convection,
                        nitsche_rhs_values, scalar_mass, upwind_boundary_rhs)
 from .mesh import CoarsePartition
-from .spectral import spectral_reduce
+from .spectral import ModeBlock, NestedSpace, spectral_reduce
 from .velocity_basis import _boundary_node_data
 
 log = logging.getLogger(__name__)
@@ -37,19 +37,8 @@ VARIANTS = ("elliptic", "timevelocity")
 class ConcentrationSnapshotSet:
     domain: int
     family: str  # "interface" | "wall" | "pooled"
-    bc_kind: str  # "dbc" | "nbc" | "rbc"
-    variant: str  # "elliptic" | "timevelocity"
     nodes: np.ndarray
     snapshots: np.ndarray  # (n_snap, local scalar dofs)
-    local: LocalDomain
-
-
-@dataclass
-class ConcentrationMsBasis:
-    domain: int
-    family: str
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
     local: LocalDomain
 
 
@@ -107,8 +96,8 @@ def concentration_snapshots(dz: Discretization, partition: CoarsePartition,
         robin = gw if bc_kind == "rbc" else np.array([], dtype=int)
     elif family == "wall":
         if len(gw) == 0:
-            return ConcentrationSnapshotSet(domain=i, family=family, bc_kind=bc_kind,
-                                            variant=variant, nodes=np.array([], dtype=int),
+            return ConcentrationSnapshotSet(domain=i, family=family,
+                                            nodes=np.array([], dtype=int),
                                             snapshots=np.zeros((0, n_loc)), local=dom)
         data_fids, nitsche_data = gw, bc_kind == "dbc"
         dirichlet = gw if bc_kind == "dbc" else np.array([], dtype=int)
@@ -145,35 +134,32 @@ def concentration_snapshots(dz: Discretization, partition: CoarsePartition,
         rhs[:, l] = F[sd]
 
     snaps = _solve_local(A, rhs, M_loc).T
-    return ConcentrationSnapshotSet(domain=i, family=family, bc_kind=bc_kind,
-                                    variant=variant, nodes=nodes,
+    return ConcentrationSnapshotSet(domain=i, family=family, nodes=nodes,
                                     snapshots=snaps, local=dom)
 
 
 def spectral_reduce_concentration(dz: Discretization, partition: CoarsePartition,
                                   snapshots: ConcentrationSnapshotSet,
                                   M: int | None, D: float, gamma_c: float,
-                                  forms=None) -> ConcentrationMsBasis:
+                                  forms=None) -> ModeBlock:
     """Diffusion-only eigenproblem selecting the M dominant snapshot modes
     (every mode up to the Gram rank when M is None).  `forms` reuses the
-    domain's (A, S)."""
+    domain's (A, S).  A family without snapshots gives an empty block."""
     if forms is None:
         forms = assemble_local_concentration_forms(dz, partition,
                                                    snapshots.domain, D, gamma_c)
-    A, S = forms
+    dofs = snapshots.local.scalar_dofs()
     if len(snapshots.snapshots) == 0:
-        return ConcentrationMsBasis(domain=snapshots.domain, family=snapshots.family,
-                                    eigenvalues=np.zeros(0),
-                                    vectors=np.zeros((0, A.shape[0])),
-                                    local=snapshots.local)
-    try:
-        basis = spectral_reduce(snapshots.snapshots, A, S, M)
-    except ValueError as exc:
-        raise ValueError(f"concentration basis on domain {snapshots.domain} "
-                         f"({snapshots.family} family), M={M}: {exc}") from exc
-    return ConcentrationMsBasis(domain=snapshots.domain, family=snapshots.family,
-                                eigenvalues=basis.eigenvalues, vectors=basis.vectors,
-                                local=snapshots.local)
+        eigenvalues, vectors = np.zeros(0), np.zeros((0, len(dofs)))
+    else:
+        try:
+            basis = spectral_reduce(snapshots.snapshots, *forms, M)
+        except ValueError as exc:
+            raise ValueError(f"concentration basis on domain {snapshots.domain} "
+                             f"({snapshots.family} family), M={M}: {exc}") from exc
+        eigenvalues, vectors = basis.eigenvalues, basis.vectors
+    return ModeBlock(domain=snapshots.domain, label=snapshots.family,
+                     eigenvalues=eigenvalues, vectors=vectors, dofs=dofs)
 
 
 def interior_basis(dz: Discretization, partition: CoarsePartition, i: int,
@@ -199,99 +185,13 @@ def interior_basis(dz: Discretization, partition: CoarsePartition, i: int,
     return c
 
 
-@dataclass
-class ConcentrationSpace:
-    """Global reduced concentration space: family modes plus one bubble per
-    domain."""
-
-    kind: str  # "type1" | "type2"
-    M: int | None
-    bc_kind: str
-    variant: str
-    bases: list  # family bases, domain by domain (one per family each)
-    bubbles: list  # one interior bubble per domain
-    R_c: sp.csr_matrix
-    n_domains: int
-    eigen_rows: list = field(default_factory=list)  # (domain, family, k, lam)
-
-    @classmethod
-    def stack(cls, kind: str, M: int | None, bc_kind: str, variant: str,
-              bases: list, bubbles: list, n_concentration: int
-              ) -> "ConcentrationSpace":
-        """Stack each domain's family modes followed by its bubble."""
-        per = len(bases) // len(bubbles)
-        rows, cols, vals, eigen_rows = [], [], [], []
-        offset = 0
-        for i, bubble in enumerate(bubbles):
-            for b in bases[i * per:(i + 1) * per]:
-                sd = b.local.scalar_dofs()
-                nb = len(b.vectors)
-                rows.append(np.repeat(offset + np.arange(nb), len(sd)))
-                cols.append(np.tile(sd, nb))
-                vals.append(b.vectors.ravel())
-                eigen_rows += [(b.domain, b.family, k, float(lam))
-                               for k, lam in enumerate(b.eigenvalues)]
-                offset += nb
-            rows.append(np.full(len(sd), offset))
-            cols.append(sd)
-            vals.append(bubble)
-            offset += 1
-        R_c = sp.coo_matrix((np.concatenate(vals),
-                             (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(offset, n_concentration)).tocsr()
-        return cls(kind=kind, M=M, bc_kind=bc_kind, variant=variant,
-                   bases=bases, bubbles=bubbles, R_c=R_c,
-                   n_domains=len(bubbles), eigen_rows=eigen_rows)
-
-    @property
-    def n_rows(self) -> int:
-        return self.R_c.shape[0]
-
-    def reported_dof(self) -> int:
-        """Coarse transport dof count: the rows of the space."""
-        return self.n_rows
-
-    def _check_modes(self, M: int):
-        for b in self.bases:
-            if len(b.eigenvalues) and len(b.vectors) < M:
-                raise ValueError(
-                    f"concentration space holds {len(b.vectors)} modes on "
-                    f"domain {b.domain} ({b.family} family); cannot "
-                    f"truncate to M={M}")
-
-    def truncate(self, M: int) -> "ConcentrationSpace":
-        """The space of the first M modes of every domain and family plus
-        every bubble.  Modes are kept in ascending eigenvalue order, so the
-        spaces are nested and this equals a direct build at M.  A family
-        without snapshots (no wall facets) stays empty."""
-        if M == self.M:
-            return self
-        self._check_modes(M)
-        return ConcentrationSpace.stack(
-            self.kind, M, self.bc_kind, self.variant,
-            [replace(b, vectors=b.vectors[:M]) for b in self.bases],
-            self.bubbles, self.R_c.shape[1])
-
-    def rows(self, M: int) -> np.ndarray:
-        """The rows of R_c that truncate(M) keeps, in its order."""
-        self._check_modes(M)
-        per = len(self.bases) // len(self.bubbles)
-        keep, offset = [], 0
-        for i in range(len(self.bubbles)):
-            for b in self.bases[i * per:(i + 1) * per]:
-                keep.append(offset + np.arange(min(M, len(b.vectors))))
-                offset += len(b.vectors)
-            keep.append([offset])  # the bubble
-            offset += 1
-        return np.concatenate(keep)
-
-
 def build_concentration_space(dz: Discretization, partition: CoarsePartition,
                               kind: str, M: int | None, bc_kind: str,
                               variant: str, D: float, alpha: float,
                               gamma_c: float, u_ms=None, tau=None,
-                              threads: int = 1) -> ConcentrationSpace:
-    """Assemble per-domain concentration bases into projection rows."""
+                              threads: int = 1) -> NestedSpace:
+    """Assemble per-domain concentration bases into projection rows: each
+    domain's family modes followed by its bubble."""
     kind = kind.lower()
     if kind not in ("type1", "type2"):
         raise ValueError(f"unknown concentration space kind {kind!r}")
@@ -299,26 +199,26 @@ def build_concentration_space(dz: Discretization, partition: CoarsePartition,
 
     def run(i):
         forms = assemble_local_concentration_forms(dz, partition, i, D, gamma_c)
-        out = []
+        blocks = []
         for fam in families:
             snaps = concentration_snapshots(dz, partition, i, fam, bc_kind,
                                             variant, D, alpha, gamma_c, u_ms, tau)
             if len(snaps.snapshots) == 0:
                 log.warning("domain %d has no wall facets; wall family empty", i)
-            out.append(spectral_reduce_concentration(dz, partition, snaps,
-                                                     M, D, gamma_c, forms))
+            blocks.append(spectral_reduce_concentration(dz, partition, snaps,
+                                                        M, D, gamma_c, forms))
         bubble = interior_basis(dz, partition, i, variant, D, gamma_c, u_ms, tau)
-        return out, bubble
+        blocks.append(ModeBlock(domain=i, label="bubble", eigenvalues=np.zeros(0),
+                                vectors=bubble[None, :], dofs=blocks[0].dofs))
+        return blocks
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, range(partition.n_domains)))
+            per_domain = list(ex.map(run, range(partition.n_domains)))
     else:
-        results = [run(i) for i in range(partition.n_domains)]
-    bases = [b for fam_bases, _ in results for b in fam_bases]
-    bubbles = [bubble for _, bubble in results]
-    return ConcentrationSpace.stack(kind, M, bc_kind, variant, bases, bubbles,
-                                    dz.dofs.n_concentration)
+        per_domain = [run(i) for i in range(partition.n_domains)]
+    return NestedSpace.stack("concentration", [b for bs in per_domain for b in bs],
+                             dz.dofs.n_concentration)
 
 
 def expected_transport_dof(kind: str, n_domains: int, M: int) -> int:

@@ -10,7 +10,7 @@ Gram matrix then selects the dominant modes.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +20,7 @@ from .assembly import (DATA_PENALTY, Discretization, LocalDomain,
                        assemble_local_stokes, assemble_local_velocity_forms,
                        nitsche_rhs_values)
 from .mesh import CoarsePartition
-from .spectral import spectral_reduce
+from .spectral import ModeBlock, NestedSpace, spectral_reduce
 
 
 @dataclass
@@ -36,15 +36,6 @@ class VelocitySnapshotSet:
     direction: int | None
     nodes: np.ndarray  # global mesh node ids on the non-wall boundary
     snapshots: np.ndarray
-    local: LocalDomain
-
-
-@dataclass
-class VelocityMsBasis:
-    domain: int
-    direction: int | None
-    eigenvalues: np.ndarray
-    vectors: np.ndarray  # (M, local velocity dofs)
     local: LocalDomain
 
 
@@ -154,103 +145,32 @@ def velocity_snapshots(dz: Discretization, partition: CoarsePartition, i: int,
 def spectral_reduce_velocity(dz: Discretization, partition: CoarsePartition,
                              snapshots: VelocitySnapshotSet, M: int | None,
                              mu: float, gamma_u: float,
-                             forms=None) -> VelocityMsBasis:
+                             forms=None) -> ModeBlock:
     """Reduce a snapshot set to its M smallest-eigenvalue modes (every mode up
     to the Gram rank when M is None).  `forms` reuses the domain's (A, S)."""
     if forms is None:
         forms = assemble_local_velocity_forms(dz, partition, snapshots.domain,
                                               mu, gamma_u)
+    r = snapshots.direction
+    name = "pooled directions" if r is None else f"direction {r}"
     try:
         basis = spectral_reduce(snapshots.snapshots, *forms, M)
     except ValueError as exc:
         raise ValueError(f"velocity basis on domain {snapshots.domain} "
-                         f"({_direction_name(snapshots.direction)}), M={M}: "
-                         f"{exc}") from exc
-    return VelocityMsBasis(domain=snapshots.domain, direction=snapshots.direction,
-                           eigenvalues=basis.eigenvalues, vectors=basis.vectors,
-                           local=snapshots.local)
-
-
-def _direction_name(direction: int | None) -> str:
-    return "pooled directions" if direction is None else f"direction {direction}"
-
-
-@dataclass
-class VelocitySpace:
-    """Global reduced velocity space: stacked per-domain (per-direction) modes."""
-
-    kind: str  # "type1" | "type2"
-    M: int | None
-    bases: list
-    R_u: sp.csr_matrix  # (rows, fine velocity dofs)
-    n_domains: int
-    eigen_rows: list = field(default_factory=list)  # (domain, direction, k, lam)
-
-    @classmethod
-    def stack(cls, kind: str, M: int | None, bases: list, n_domains: int,
-              n_velocity: int) -> "VelocitySpace":
-        """Stack every basis's modes, in order, into the projection rows."""
-        rows, cols, vals, eigen_rows = [], [], [], []
-        offset = 0
-        for b in bases:
-            vdofs = b.local.velocity_dofs()
-            nb = len(b.vectors)
-            rows.append(np.repeat(offset + np.arange(nb), len(vdofs)))
-            cols.append(np.tile(vdofs, nb))
-            vals.append(b.vectors.ravel())
-            r = -1 if b.direction is None else b.direction
-            eigen_rows += [(b.domain, r, k, float(lam))
-                           for k, lam in enumerate(b.eigenvalues)]
-            offset += nb
-        R_u = sp.coo_matrix((np.concatenate(vals),
-                             (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(offset, n_velocity)).tocsr()
-        return cls(kind=kind, M=M, bases=bases, R_u=R_u, n_domains=n_domains,
-                   eigen_rows=eigen_rows)
-
-    @property
-    def n_rows(self) -> int:
-        return self.R_u.shape[0]
-
-    def reported_dof(self) -> int:
-        """Coarse flow dof count including one pressure value per domain."""
-        return self.n_rows + self.n_domains
-
-    def _check_modes(self, M: int):
-        for b in self.bases:
-            if len(b.vectors) < M:
-                raise ValueError(
-                    f"velocity space holds {len(b.vectors)} modes on domain "
-                    f"{b.domain} ({_direction_name(b.direction)}); cannot "
-                    f"truncate to M={M}")
-
-    def truncate(self, M: int) -> "VelocitySpace":
-        """The space of the first M modes of every domain and direction.
-
-        Modes are kept in ascending eigenvalue order, so the spaces are nested
-        and this equals a direct build at M.
-        """
-        if M == self.M:
-            return self
-        self._check_modes(M)
-        return VelocitySpace.stack(
-            self.kind, M, [replace(b, vectors=b.vectors[:M]) for b in self.bases],
-            self.n_domains, self.R_u.shape[1])
-
-    def rows(self, M: int) -> np.ndarray:
-        """The rows of R_u that truncate(M) keeps, in its order."""
-        self._check_modes(M)
-        starts = np.cumsum([0] + [len(b.vectors) for b in self.bases[:-1]])
-        return np.concatenate([s + np.arange(M) for s in starts])
+                         f"({name}), M={M}: {exc}") from exc
+    return ModeBlock(domain=snapshots.domain, label=-1 if r is None else r,
+                     eigenvalues=basis.eigenvalues, vectors=basis.vectors,
+                     dofs=snapshots.local.velocity_dofs())
 
 
 def build_velocity_space(dz: Discretization, partition: CoarsePartition,
                          kind: str, M: int | None, mu: float, gamma_u: float,
-                         threads: int = 1) -> VelocitySpace:
+                         threads: int = 1) -> NestedSpace:
     """Build all per-domain bases and stack them into projection rows.
 
     kind "type1" pools both directions into one spectral problem per domain
     (M modes each); "type2" keeps a per-direction family (d*M modes each).
+    Each domain adds one pressure value to the reported dofs.
     One job per domain factors its local Stokes system and assembles its
     spectral forms once for all of its directions.
     """
@@ -274,9 +194,8 @@ def build_velocity_space(dz: Discretization, partition: CoarsePartition,
             per_domain = list(ex.map(run, domains))
     else:
         per_domain = [run(i) for i in domains]
-    bases = [b for bs in per_domain for b in bs]
-    return VelocitySpace.stack(kind, M, bases, partition.n_domains,
-                               dz.dofs.n_velocity)
+    return NestedSpace.stack("velocity", [b for bs in per_domain for b in bs],
+                             dz.dofs.n_velocity, extra_dof=partition.n_domains)
 
 
 def expected_flow_dof(kind: str, n_domains: int, M: int, d: int = 2) -> int:

@@ -481,8 +481,8 @@ def per_row_sweep(cfg):
                                   cfg.mu_list[-1], cfg.mu, cfg.gamma_u)
     flows, e_u = {}, {}
     for Mu in cfg.mu_list:
-        fields = per_row_coarse_flow(vs_max.truncate(Mu).R_u, Rp, fine.flow_ops,
-                                     grid, STEADY_TOL)
+        fields = per_row_coarse_flow(vs_max.R[vs_max.rows(Mu)], Rp,
+                                     fine.flow_ops, grid, STEADY_TOL)
         flows[Mu] = lambda step, f=fields: f[min(step, len(f) - 1)]
         e_u[Mu] = velocity_error(dz, fields[-1], fine.flow.velocity_at(grid.n_steps))
     kw = {}
@@ -500,7 +500,7 @@ def per_row_sweep(cfg):
                        else flows[Mu])
         for Mc in cfg.mc_list:
             reported = per_row_coarse_transport(
-                dz, cs_max.truncate(Mc).R_c, ops.M, ops.A, ops.F, velocity_at,
+                dz, cs_max.R[cs_max.rows(Mc)], ops.M, ops.A, ops.F, velocity_at,
                 cfg.c_in, grid, fine.c0, set(fine.report))
             out[Mu, Mc] = (e_u[Mu], {
                 key: concentration_error(dz, reported[m], fine.transport.reported[m])

@@ -207,8 +207,8 @@ def test_criterion_6_dof_accounting(small_dz, small_partition):
         cs = build_concentration_space(small_dz, small_partition, kind, M,
                                        "rbc", "elliptic", 0.05, 0.01, 8.0)
         built_ok = built_ok and (
-            vs.reported_dof() == expected_flow_dof(kind, 4, M)
-            and cs.reported_dof() == expected_transport_dof(kind, 4, M))
+            vs.reported_dof(M) == expected_flow_dof(kind, 4, M)
+            and cs.reported_dof(M) == expected_transport_dof(kind, 4, M))
     ok = stub_ok and built_ok
     _crit(6, ok, "formula stubs and built spaces "
                  + ("agree" if ok else "disagree"))

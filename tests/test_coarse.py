@@ -118,13 +118,13 @@ def test_reduced_transport_step_equation(small_dz, small_partition):
                              wall_bc="rbc", wall_data=1.0, c_in=0.0, u_h=None)
     cs = build_concentration_space(small_dz, small_partition, "type2", 2,
                                    "rbc", "elliptic", 0.05, 0.01, 8.0)
-    space = MultiscaleSpace(R_u=None, R_p=None, R_c=cs.R_c,
+    space = MultiscaleSpace(R_u=None, R_p=None, R_c=cs.R,
                             partition=small_partition)
     c0 = constant_concentration(small_dz, 1.0)
     grid = TimeGrid(0.1, 1)
     (sol,) = solve_coarse_transport(small_dz, space, ops.M, ops.A, ops.F,
                                     lambda s: None, 0.0, grid, c0)
-    Rc = cs.R_c.toarray()
+    Rc = cs.R.toarray()
     M_H = Rc @ ops.M.toarray() @ Rc.T
     A_H = Rc @ ops.A.toarray() @ Rc.T
     cH0 = np.linalg.solve(M_H, Rc @ (ops.M @ c0))
@@ -143,7 +143,7 @@ def _with_zero_row(R):
 def test_singular_flow_raises_naming_system_and_m(small_dz, small_partition):
     ops = _flow_ops(small_dz, dict(length=0.5, half_width=0.05, target_cells=400))
     vs = build_velocity_space(small_dz, small_partition, "type1", 2, 1.0, 8.0)
-    space = build_multiscale_space(small_dz, small_partition, vs)
+    space = build_multiscale_space(small_dz, small_partition, vs, Mu=2)
     space.R_u = _with_zero_row(space.R_u)
     with pytest.raises(np.linalg.LinAlgError,
                        match="singular coarse flow system at M_u=2: zero pivot"):
@@ -157,10 +157,10 @@ def test_singular_size_fails_alone_in_shared_transport(small_dz, small_partition
                              wall_bc="rbc", wall_data=1.0, c_in=0.0, u_h=None)
     cs = build_concentration_space(small_dz, small_partition, "type2", 2,
                                    "rbc", "elliptic", 0.05, 0.01, 8.0)
-    n = cs.n_rows
+    n = cs.R.shape[0]
     rows = {1: np.arange(n), 2: np.arange(n + 1)}
     space = MultiscaleSpace(R_u=None, R_p=None,
-                            R_c=_with_zero_row(cs.R_c),
+                            R_c=_with_zero_row(cs.R),
                             partition=small_partition,
                             concentration_space=SimpleNamespace(rows=rows.get))
     u = np.tile([0.4, 0.0], 3 * small_dz.mesh.n_cells)
@@ -171,7 +171,7 @@ def test_singular_size_fails_alone_in_shared_transport(small_dz, small_partition
                                         report_steps=(2,))
     assert isinstance(failed, np.linalg.LinAlgError)
     assert "singular coarse transport mass matrix at M_c=2" in str(failed)
-    own = MultiscaleSpace(R_u=None, R_p=None, R_c=cs.R_c,
+    own = MultiscaleSpace(R_u=None, R_p=None, R_c=cs.R,
                           partition=small_partition)
     (want,) = solve_coarse_transport(small_dz, own, ops.M, ops.A, ops.F,
                                      lambda s: u, 0.0, grid, c0,
@@ -195,7 +195,7 @@ def test_galerkin_matches_sparse_products(small_mesh, small_dz, mode, kind):
     vs = build_velocity_space(dz, part, kind, 2, 1.0, 8.0)
     cs = build_concentration_space(dz, part, kind, 2, "rbc", "elliptic",
                                    0.05, 0.01, 8.0)
-    Ru, Rp, Rc = vs.R_u, pressure_indicators(dz, part), cs.R_c
+    Ru, Rp, Rc = vs.R, pressure_indicators(dz, part), cs.R
     U = DomainBlocks(Ru, np.repeat(cells, 6))
     P = DomainBlocks(Rp, cells)
     C = DomainBlocks(Rc, np.repeat(cells, 3))
@@ -226,7 +226,7 @@ def test_galerkin_identity_and_zero_rows(small_dz, small_partition):
 
     cs = build_concentration_space(dz, small_partition, "type1", 2, "rbc",
                                    "elliptic", 0.05, 0.01, 8.0)
-    R = cs.R_c
+    R = cs.R
     padded = DomainBlocks(_with_zero_row(R), dof_domain)
     H = galerkin(tops.A, padded, padded)
     n = R.shape[0]

@@ -12,7 +12,7 @@ from channelms import cli, harness, transport_basis
 from channelms.errors import concentration_error, relative_l2_error
 from channelms.harness import (CSV_HEADER, ExperimentConfig, inflow_profile,
                                load_config, run_experiment, save_config)
-from channelms.velocity_basis import VelocitySpace
+from channelms.spectral import NestedSpace
 
 import oracles
 
@@ -210,10 +210,9 @@ def test_singular_flow_fails_only_its_rows(monkeypatch, velocity):
 
     def zero_second_mode(*args, **kw):
         vs = orig(*args, **kw)
-        b = vs.bases[0]
-        bases = [replace(b, vectors=b.vectors * [[1.0], [0.0]]), *vs.bases[1:]]
-        return VelocitySpace.stack(vs.kind, vs.M, bases, vs.n_domains,
-                                   vs.R_u.shape[1])
+        b = vs.blocks[0]
+        blocks = [replace(b, vectors=b.vectors * [[1.0], [0.0]]), *vs.blocks[1:]]
+        return NestedSpace.stack(vs.name, blocks, vs.R.shape[1], vs.extra_dof)
 
     monkeypatch.setattr(harness, "build_velocity_space", zero_second_mode)
     report = run_experiment(_tiny_cfg(mu_list=(1, 2), mc_list=(1,),
@@ -283,6 +282,25 @@ def test_snapshot_mu_must_be_swept(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("velocity_type", "type3"), ("concentration_type", "tpye2"),
+    ("partition_mode", "grid"), ("threads", 0), ("threads", -2),
+    ("n_domains", 0), ("n_steps", 0)])
+def test_load_config_rejects_bad_values(tmp_path, name, value):
+    path = tmp_path / "cfg.ini"
+    save_config(_tiny_cfg(**{name: value}), path)
+    with pytest.raises(ValueError, match=name):
+        load_config(path)
+
+
+def test_load_config_accepts_what_the_builders_accept(tmp_path):
+    path = tmp_path / "cfg.ini"
+    save_config(_tiny_cfg(velocity_type="Type1", concentration_type="TYPE2",
+                          partition_mode="unstructured", n_domains=1,
+                          n_steps=1, threads=1), path)
+    assert load_config(path).velocity_type == "Type1"
+
+
 @pytest.mark.parametrize("space,formula", [("velocity", "expected_flow_dof"),
                                            ("concentration",
                                             "expected_transport_dof")])
@@ -344,6 +362,20 @@ def test_cli_run_emits_csv(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == CSV_HEADER
     assert len(out.splitlines()) == 2
+
+
+def test_cli_basis_writes_the_spaces_of_run(tmp_path, capsys):
+    # time+velocity snapshots come from the coarse flow at snapshot_mu, in
+    # `basis` as in `run`
+    cfg = _tiny_cfg(variant="timevelocity", mu_list=(1, 2), snapshot_mu=1)
+    path = tmp_path / "cfg.ini"
+    save_config(cfg, path)
+    cli.main(["basis", "--config", str(path), "--out", str(tmp_path / "basis")])
+    assert "concentration space: 20 rows, reported dof 20" in capsys.readouterr().out
+    run_experiment(replace(cfg, out_dir=str(tmp_path / "run")))
+    for name in ("eigen_u_M2.csv", "eigen_c_timevelocity_M2.csv"):
+        assert ((tmp_path / "basis" / name).read_text()
+                == (tmp_path / "run" / name).read_text())
 
 
 def test_cli_rejects_unknown_config():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from channelms.assembly import LocalDomain, assemble_local_concentration_forms
-from channelms.transport_basis import (ConcentrationSpace,
-                                       build_concentration_space,
+from channelms.spectral import NestedSpace
+from channelms.transport_basis import (build_concentration_space,
                                        concentration_snapshots,
                                        expected_transport_dof, interior_basis)
 from channelms.velocity_basis import _boundary_node_data
@@ -195,21 +195,20 @@ def test_build_concentration_space_layout(small_dz, small_partition):
     cs = build_concentration_space(small_dz, small_partition, "type2", 2,
                                    "rbc", "elliptic", D, ALPHA, GAMMA)
     N = small_partition.n_domains
-    assert cs.n_rows == N * (2 * 2 + 1)
-    assert cs.reported_dof() == expected_transport_dof("type2", N, 2)
+    assert cs.R.shape[0] == N * (2 * 2 + 1)
+    assert cs.reported_dof(2) == expected_transport_dof("type2", N, 2)
     fams = {fam for _, fam, _, _ in cs.eigen_rows}
     assert fams == {"interface", "wall"}
     # rows are supported in their own domain; the bubble row is last per domain
+    assert [b.label for b in cs.blocks] == ["interface", "wall", "bubble"] * N
     row = 0
-    for b in cs.bases:
-        allowed = set(b.local.scalar_dofs().tolist())
+    for b in cs.blocks:
+        allowed = set(b.dofs.tolist())
         for _ in range(len(b.vectors)):
-            cols = cs.R_c.indices[cs.R_c.indptr[row]:cs.R_c.indptr[row + 1]]
+            cols = cs.R.indices[cs.R.indptr[row]:cs.R.indptr[row + 1]]
             assert set(cols.tolist()) <= allowed
             row += 1
-        if b.family == "wall":
-            row += 1  # bubble row follows the last family of the domain
-    assert row == cs.n_rows
+    assert row == cs.R.shape[0]
 
 
 def test_thread_determinism(small_dz, small_partition):
@@ -217,7 +216,7 @@ def test_thread_determinism(small_dz, small_partition):
     c1 = build_concentration_space(small_dz, small_partition, "type1", 2, **kw)
     c2 = build_concentration_space(small_dz, small_partition, "type1", 2,
                                    threads=3, **kw)
-    assert np.array_equal(c1.R_c.toarray(), c2.R_c.toarray())
+    assert np.array_equal(c1.R.toarray(), c2.R.toarray())
 
 
 def test_expected_transport_dof_formulas():
@@ -239,26 +238,15 @@ def test_truncation_equals_direct_build(small_dz, small_partition, kind,
     kw = dict(bc_kind="rbc", variant=variant, D=D, alpha=ALPHA, gamma_c=GAMMA)
     if variant == "timevelocity":
         kw.update(u_ms=_uniform_velocity(small_dz), tau=0.05)
+    # the rows(M) of the largest build are a direct build at M
     full = build_concentration_space(small_dz, small_partition, kind, 3, **kw)
+    assert np.array_equal(full.rows(3), np.arange(full.R.shape[0]))
     for M in (1, 2):
-        cut = full.truncate(M)
         direct = build_concentration_space(small_dz, small_partition, kind, M,
                                            **kw)
-        assert cut.M == M
-        assert cut.reported_dof() == direct.reported_dof()
-        assert cut.eigen_rows == direct.eigen_rows
-        assert_rows_close(cut.R_c, direct.R_c)
-    with pytest.raises(ValueError, match="cannot truncate to M=4"):
-        full.truncate(4)
-
-
-@pytest.mark.parametrize("kind", ["type1", "type2"])
-def test_rows_select_the_truncation(small_dz, small_partition, kind):
-    full = build_concentration_space(small_dz, small_partition, kind, 3,
-                                     "rbc", "elliptic", D, ALPHA, GAMMA)
-    for M in (1, 2, 3):
-        assert np.array_equal(full.R_c[full.rows(M)].toarray(),
-                              full.truncate(M).R_c.toarray())
+        assert full.reported_dof(M) == direct.reported_dof(M)
+        assert full.eigen_rows == direct.eigen_rows
+        assert_rows_close(full.R[full.rows(M)], direct.R)
     with pytest.raises(ValueError, match="cannot truncate to M=4"):
         full.rows(4)
 
@@ -268,15 +256,17 @@ def test_empty_wall_family_counts_its_rows(small_dz, small_partition):
     # rows than the closed formula, and reports what it holds
     full = build_concentration_space(small_dz, small_partition, "type2", 2,
                                      "rbc", "elliptic", D, ALPHA, GAMMA)
-    bases = [replace(b, eigenvalues=b.eigenvalues[:0], vectors=b.vectors[:0])
-             if (b.domain, b.family) == (0, "wall") else b for b in full.bases]
-    cs = ConcentrationSpace.stack("type2", 2, "rbc", "elliptic", bases,
-                                  full.bubbles, full.R_c.shape[1])
+    blocks = [replace(b, eigenvalues=b.eigenvalues[:0], vectors=b.vectors[:0])
+              if (b.domain, b.label) == (0, "wall") else b for b in full.blocks]
+    cs = NestedSpace.stack("concentration", blocks, full.R.shape[1])
     N = small_partition.n_domains
-    assert cs.reported_dof() == cs.n_rows == expected_transport_dof("type2", N, 2) - 2
+    assert cs.reported_dof(2) == cs.R.shape[0] == expected_transport_dof("type2", N, 2) - 2
     for M in (1, 2):
-        assert np.array_equal(cs.R_c[cs.rows(M)].toarray(),
-                              cs.truncate(M).R_c.toarray())
+        cut = [replace(b, vectors=b.vectors[:M]) if len(b.eigenvalues) else b
+               for b in blocks]
+        assert np.array_equal(cs.R[cs.rows(M)].toarray(),
+                              NestedSpace.stack("concentration", cut,
+                                                cs.R.shape[1]).R.toarray())
 
 
 def test_rank_shortfall_names_domain_family_rank_and_m(small_dz,

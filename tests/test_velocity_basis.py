@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from channelms.assembly import LocalDomain, assemble_local_velocity_forms
-from channelms.velocity_basis import (VelocitySpace, _boundary_node_data,
+from channelms.spectral import NestedSpace
+from channelms.velocity_basis import (_boundary_node_data,
                                       build_velocity_space, expected_flow_dof,
                                       local_stokes, spectral_reduce_velocity,
                                       velocity_snapshots)
@@ -96,20 +97,20 @@ def test_spectral_checks_on_real_domain(small_dz, small_partition, snaps0):
 
 def test_build_velocity_space_layout(small_dz, small_partition):
     vs = build_velocity_space(small_dz, small_partition, "type2", 3, 1.0, 8.0)
-    assert isinstance(vs, VelocitySpace)
-    assert vs.n_rows == 2 * 3 * small_partition.n_domains
-    assert vs.reported_dof() == expected_flow_dof("type2",
-                                                  small_partition.n_domains, 3)
+    assert isinstance(vs, NestedSpace)
+    assert vs.R.shape[0] == 2 * 3 * small_partition.n_domains
+    assert vs.reported_dof(3) == expected_flow_dof("type2",
+                                                   small_partition.n_domains, 3)
     # every projection row is supported inside its own domain only
-    R = vs.R_u
+    R = vs.R
     row = 0
-    for b in vs.bases:
-        allowed = set(b.local.velocity_dofs().tolist())
+    for b in vs.blocks:
+        allowed = set(b.dofs.tolist())
         for _ in range(len(b.vectors)):
             cols = R.indices[R.indptr[row]:R.indptr[row + 1]]
             assert set(cols.tolist()) <= allowed
             row += 1
-    assert row == vs.n_rows
+    assert row == vs.R.shape[0]
     doms = {d for d, _, _, _ in vs.eigen_rows}
     assert doms == set(range(small_partition.n_domains))
 
@@ -118,7 +119,7 @@ def test_build_velocity_space_thread_determinism(small_dz, small_partition):
     v1 = build_velocity_space(small_dz, small_partition, "type1", 2, 1.0, 8.0)
     v2 = build_velocity_space(small_dz, small_partition, "type1", 2, 1.0, 8.0,
                               threads=3)
-    assert np.array_equal(v1.R_u.toarray(), v2.R_u.toarray())
+    assert np.array_equal(v1.R.toarray(), v2.R.toarray())
 
 
 def test_expected_flow_dof_formulas():
@@ -160,36 +161,25 @@ def test_factor_once_matches_per_direction_factorization(small_dz,
                  velocity_snapshots(small_dz, small_partition, i, r, 1.0, 8.0),
                  3, 1.0, 8.0)
              for i in range(small_partition.n_domains) for r in directions]
-    ref = VelocitySpace.stack(kind, 3, bases, small_partition.n_domains,
-                              small_dz.dofs.n_velocity)
+    ref = NestedSpace.stack("velocity", bases, small_dz.dofs.n_velocity,
+                            small_partition.n_domains)
     vs = build_velocity_space(small_dz, small_partition, kind, 3, 1.0, 8.0)
-    assert np.array_equal(vs.R_u.toarray(), ref.R_u.toarray())
+    assert np.array_equal(vs.R.toarray(), ref.R.toarray())
 
 
 @pytest.mark.parametrize("kind", ["type1", "type2"])
 def test_truncation_equals_direct_build(small_dz, small_partition, kind):
+    # the rows(M) of the largest build are a direct build at M
     full = build_velocity_space(small_dz, small_partition, kind, 5, 1.0, 8.0)
-    assert full.truncate(5) is full
+    assert np.array_equal(full.rows(5), np.arange(full.R.shape[0]))
     for M in (1, 3):
-        cut = full.truncate(M)
         direct = build_velocity_space(small_dz, small_partition, kind, M,
                                       1.0, 8.0)
-        assert cut.M == M
-        assert cut.reported_dof() == direct.reported_dof()
-        assert cut.eigen_rows == direct.eigen_rows
-        assert_rows_close(cut.R_u, direct.R_u)
+        assert full.reported_dof(M) == direct.reported_dof(M)
+        assert full.eigen_rows == direct.eigen_rows
+        assert_rows_close(full.R[full.rows(M)], direct.R)
     with pytest.raises(ValueError, match="cannot truncate to M=6"):
-        full.truncate(6)
-
-
-@pytest.mark.parametrize("kind", ["type1", "type2"])
-def test_rows_select_the_truncation(small_dz, small_partition, kind):
-    full = build_velocity_space(small_dz, small_partition, kind, 4, 1.0, 8.0)
-    for M in (1, 3, 4):
-        assert np.array_equal(full.R_u[full.rows(M)].toarray(),
-                              full.truncate(M).R_u.toarray())
-    with pytest.raises(ValueError, match="cannot truncate to M=5"):
-        full.rows(5)
+        full.rows(6)
 
 
 def test_rank_shortfall_names_domain_direction_rank_and_m(small_dz,
