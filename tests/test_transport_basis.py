@@ -251,6 +251,22 @@ def test_truncation_equals_direct_build(small_dz, small_partition, kind,
         full.rows(4)
 
 
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+def test_rows_select_the_truncation(small_dz, small_partition, kind):
+    # rows(M) picks the first M modes of every family block and keeps every
+    # bubble row whole, in block order
+    full = build_concentration_space(small_dz, small_partition, kind, 3,
+                                     "rbc", "elliptic", D, ALPHA, GAMMA)
+    for M in (1, 2, 3):
+        cut = [replace(b, eigenvalues=b.eigenvalues[:M], vectors=b.vectors[:M])
+               if len(b.eigenvalues) else b for b in full.blocks]
+        ref = NestedSpace.stack("concentration", cut, full.R.shape[1])
+        assert np.array_equal(full.R[full.rows(M)].toarray(), ref.R.toarray())
+        assert full.reported_dof(M) == ref.reported_dof(M)
+    with pytest.raises(ValueError, match="cannot truncate to M=4"):
+        full.rows(4)
+
+
 def test_empty_wall_family_counts_its_rows(small_dz, small_partition):
     # a domain without wall facets has no wall modes: the space has fewer
     # rows than the closed formula, and reports what it holds

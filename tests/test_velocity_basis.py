@@ -1,5 +1,7 @@
 """Velocity snapshot construction and spectral reduction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,21 @@ def test_truncation_equals_direct_build(small_dz, small_partition, kind):
         assert_rows_close(full.R[full.rows(M)], direct.R)
     with pytest.raises(ValueError, match="cannot truncate to M=6"):
         full.rows(6)
+
+
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+def test_rows_select_the_truncation(small_dz, small_partition, kind):
+    # rows(M) picks exactly the first M modes of every block, in block order
+    full = build_velocity_space(small_dz, small_partition, kind, 4, 1.0, 8.0)
+    for M in (1, 3, 4):
+        cut = [replace(b, eigenvalues=b.eigenvalues[:M], vectors=b.vectors[:M])
+               for b in full.blocks]
+        ref = NestedSpace.stack("velocity", cut, full.R.shape[1],
+                                full.extra_dof)
+        assert np.array_equal(full.R[full.rows(M)].toarray(), ref.R.toarray())
+        assert full.reported_dof(M) == ref.reported_dof(M)
+    with pytest.raises(ValueError, match="cannot truncate to M=5"):
+        full.rows(5)
 
 
 def test_rank_shortfall_names_domain_direction_rank_and_m(small_dz,
