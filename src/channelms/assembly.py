@@ -5,7 +5,10 @@ two adjacent cells through jump/average terms, while one-sided batches carry a
 (facet, side, orientation) triple so the same code serves global boundary
 facets and local-domain boundaries (where a globally interior facet is seen
 from one side only).  Scalar P1 operators are assembled first; vector
-(velocity) operators are component-wise copies of the scalar blocks.
+(velocity) operators are component-wise copies of the scalar blocks.  The
+upwind convection, assembled once per velocity, keeps its velocity-independent
+half in a `ConvectionPlan` (the global one cached on the `Discretization`):
+a call computes the values and scatters them onto the fixed pattern.
 """
 
 from __future__ import annotations
@@ -71,6 +74,20 @@ class Discretization:
     def vector_mass(self) -> sp.csr_matrix:
         """The unit-coefficient velocity mass matrix."""
         return expand_to_vector(self.mass)
+
+    def convection_plan(self) -> "ConvectionPlan":
+        """The fixed pattern of the global upwind convection: interior facets
+        two-sided, outflow and inflow facets one-sided.  Built once for each
+        state of the mesh's facet markers."""
+        markers = self.mesh.facet_marker
+        cached = self.__dict__.get("_convection")
+        if cached is None or not np.array_equal(cached[0], markers):
+            ends = np.flatnonzero(np.isin(markers, (FacetMarker.OUTFLOW, FacetMarker.INFLOW)))
+            cached = (markers.copy(), ConvectionPlan.build(
+                self, np.arange(self.mesh.n_cells), self.mesh.interior_facets(), ends,
+                np.zeros(len(ends), dtype=int), np.ones(len(ends))))
+            self.__dict__["_convection"] = cached
+        return cached[1]
 
 
 @dataclass
@@ -182,23 +199,6 @@ def sipg_onesided(dz: Discretization, fids, sides, signs, coeff: float, gamma: f
     return rows.ravel(), cols.ravel(), E.ravel()
 
 
-def sipg_dirichlet_rhs(dz: Discretization, fids, sides, signs, coeff: float,
-                       gamma: float, data, out: np.ndarray):
-    """Nitsche data terms  ∫ (gamma/h k r - k dn r) g ds  added into `out`."""
-    mesh, cg, fg, quad = dz.mesh, dz.cell_geom, dz.facet_geom, dz.quad
-    w, t = quad.facet_weights, quad.facet_points
-    for f, side, sgn in zip(fids, sides, signs):
-        c = mesh.facet_cells[f, side]
-        length = fg.lengths[f]
-        n = fg.normals[f] * sgn
-        Tr = fg.trace_matrix(f, side, t)  # (nq,3)
-        dn = cg.grads[c] @ n  # (3,)
-        g = data(facet_points_xy(mesh, f, t))  # (nq,)
-        vals = length * (gamma * coeff / length * (Tr * (w * g)[:, None]).sum(axis=0)
-                         - coeff * dn * np.dot(w, g))
-        out[3 * c: 3 * c + 3] += vals
-
-
 def facet_mass_onesided(dz: Discretization, fids, sides, coeff: float = 1.0):
     """∫_E c r entries on the chosen side of each facet (boundary/Robin mass)."""
     if len(fids) == 0:
@@ -213,18 +213,6 @@ def facet_mass_onesided(dz: Discretization, fids, sides, coeff: float = 1.0):
     rows = np.broadcast_to(base[:, None, None] + np.arange(3)[None, :, None], E.shape)
     cols = np.broadcast_to(base[:, None, None] + np.arange(3)[None, None, :], E.shape)
     return rows.ravel(), cols.ravel(), E.ravel()
-
-
-def facet_rhs_onesided(dz: Discretization, fids, sides, data, out: np.ndarray,
-                       coeff: float = 1.0):
-    """∫_E data * r entries added into `out`."""
-    mesh, fg, quad = dz.mesh, dz.facet_geom, dz.quad
-    w, t = quad.facet_weights, quad.facet_points
-    for f, side in zip(fids, sides):
-        c = mesh.facet_cells[f, side]
-        g = data(facet_points_xy(mesh, f, t))
-        vals = coeff * fg.lengths[f] * (fg.trace_matrix(f, side, t) * (w * g)[:, None]).sum(axis=0)
-        out[3 * c: 3 * c + 3] += vals
 
 
 def _empty_entries():
@@ -424,7 +412,6 @@ def assemble_transport(dz: Discretization, D: float, alpha: float, gamma_c: floa
     interior = mesh.interior_facets()
     inflow_ids = _marker_ids(mesh, FacetMarker.INFLOW)
     wall_ids = _marker_ids(mesh, FacetMarker.WALL)
-    outflow_ids = _marker_ids(mesh, FacetMarker.OUTFLOW)
     wall_bc = wall_bc.lower()
     if wall_bc not in ("dbc", "nbc", "rbc"):
         raise ValueError(f"unknown wall boundary condition {wall_bc!r}")
@@ -439,19 +426,17 @@ def assemble_transport(dz: Discretization, D: float, alpha: float, gamma_c: floa
         sipg_interior(dz, interior, D, gamma_c),
         sipg_onesided(dz, inflow_ids, zeros(inflow_ids), ones(inflow_ids), D, gamma_c),
     ]
-    F = np.zeros(dofs.n_concentration)
-    sipg_dirichlet_rhs(dz, inflow_ids, zeros(inflow_ids), ones(inflow_ids),
-                       D, gamma_c, _as_callable(c_in), F)
-
+    F = nitsche_rhs_values(dz, inflow_ids, zeros(inflow_ids), ones(inflow_ids), D,
+                           gamma_c, _facet_data(dz, inflow_ids, _as_callable(c_in)))
+    g = _facet_data(dz, wall_ids, _as_callable(wall_data))
     if wall_bc == "dbc":
         entries.append(sipg_onesided(dz, wall_ids, zeros(wall_ids), ones(wall_ids), D, gamma_c))
-        sipg_dirichlet_rhs(dz, wall_ids, zeros(wall_ids), ones(wall_ids),
-                           D, gamma_c, _as_callable(wall_data), F)
+        F += nitsche_rhs_values(dz, wall_ids, zeros(wall_ids), ones(wall_ids), D, gamma_c, g)
     elif wall_bc == "rbc":
         entries.append(facet_mass_onesided(dz, wall_ids, zeros(wall_ids), alpha))
-        facet_rhs_onesided(dz, wall_ids, zeros(wall_ids), _as_callable(wall_data), F, alpha)
+        F += facet_rhs_values(dz, wall_ids, zeros(wall_ids), g, alpha)
     else:  # nbc: -D grad c . n = wall_data, contributes only to the load
-        facet_rhs_onesided(dz, wall_ids, zeros(wall_ids), _as_callable(wall_data), F, -1.0)
+        F += facet_rhs_values(dz, wall_ids, zeros(wall_ids), g, -1.0)
 
     A = _merge(entries, dofs.n_concentration)
     M = scalar_mass(dz)
@@ -467,17 +452,6 @@ def assemble_transport(dz: Discretization, D: float, alpha: float, gamma_c: floa
     return TransportOperators(M=M, A=A, C=C, F=F)
 
 
-def assemble_convection(dz: Discretization, u_h, c_in):
-    """(C, F) upwind convection operator and its inflow data load."""
-    mesh = dz.mesh
-    F = np.zeros(dz.dofs.n_concentration)
-    C = _assemble_convection(dz, u_h, mesh.interior_facets(),
-                             _marker_ids(mesh, FacetMarker.INFLOW),
-                             _marker_ids(mesh, FacetMarker.OUTFLOW),
-                             _as_callable(c_in), F)
-    return C, F
-
-
 def _volume_rhs(dz: Discretization, source, F):
     quadq = quadrature(DEFAULT_CELL_ORDER)
     pts, w = quadq.cell_points, quadq.cell_weights
@@ -489,78 +463,137 @@ def _volume_rhs(dz: Discretization, source, F):
     F += contrib.reshape(-1)
 
 
-def _assemble_convection(dz: Discretization, u_h, interior, inflow_ids,
-                         outflow_ids, c_in, F):
-    """Conservative upwind convection.
+# ---------------------------------------------------------------------------
+# upwind convection: velocity-dependent values on a fixed pattern
+# ---------------------------------------------------------------------------
+#
+# A P1 trace lives on the facet's two nodes: seen from either side, facet node
+# a is the cell's local node local_nodes[f, side, a], weighted 1 - t (a = 0)
+# or t (a = 1) in the shared facet parameter, and the third basis function
+# vanishes.  Every facet term is thus a 2 x 2 block on the node dofs
+# 3 * cell + local node, which also index the velocity as u_h.reshape(-1, 2).
 
-    C(c, r) = -sum_K ∫ (u c)·grad r
-              + sum_{E0} ∫ ((u+·n)^+ c+ + (u-·n)^- c-) [r]
-              + sum_{E_out ∪ E_in} ∫ (u·n)^+ c r,
-    with the inflow data entering the load as  -∫ (u·n)^- c_in r.
+def _node_dofs(dz: Discretization, fids, sides) -> np.ndarray:
+    """(nF, 2) scalar dofs of the two facet nodes in the cell on `sides`."""
+    cells = dz.mesh.facet_cells[fids, sides]
+    return 3 * cells[:, None] + dz.facet_geom.local_nodes[fids, sides]
+
+
+def _normal_velocity(U: np.ndarray, node_dofs, normals, T) -> np.ndarray:
+    """u·n at the facet quadrature points, (..., nq); U is u_h.reshape(-1, 2)."""
+    return (U[node_dofs] @ normals[..., None])[..., 0] @ T.T
+
+
+def _facet_data(dz: Discretization, fids, data) -> np.ndarray:
+    """(nF, nq) values of the callable `data` at the facet quadrature points."""
+    mesh, t = dz.mesh, dz.quad.facet_points
+    a, b = (mesh.nodes[mesh.facets[fids, k]][:, None, :] for k in (0, 1))
+    x = a * (1.0 - t)[None, :, None] + b * t[None, :, None]
+    return np.asarray(data(x.reshape(-1, 2)), dtype=float).reshape(len(fids), len(t))
+
+
+@dataclass(frozen=True)
+class ConvectionPlan:
+    """The velocity-independent half of an upwind convection operator
+
+        C(c, r) = -sum_K ∫ (u c)·grad r
+                  + sum_{two-sided E} ∫ ((u+·n)^+ c+ + (u-·n)^- c-) [r]
+                  + sum_{one-sided E} ∫ (u·n)^+ c r
+
+    over a set of cells and facets: the P1 trace and quadrature tables, the
+    node dofs of each facet side, and the fixed CSR pattern with the slot in
+    its data of every value `assemble` computes.
     """
-    mesh, dofs = dz.mesh, dz.dofs
-    cg, fg = dz.cell_geom, dz.facet_geom
-    U = u_h.reshape(mesh.n_cells, 3, 2)
-    rows, cols, vals = [], [], []
 
-    # volume: -∫ (u c)·grad r, trial c = phi_j, test r = phi_i
-    quadc = quadrature(DEFAULT_CELL_ORDER)
-    phis = p1_values(quadc.cell_points)  # (nq,3)
-    uq = np.einsum("ckd,qk->cqd", U, phis)  # (nc,nq,2)
-    ug = np.einsum("cqd,cid->cqi", uq, cg.grads)  # u·grad phi_i
-    E = -2.0 * cg.areas[:, None, None] * np.einsum("q,cqi,qj->cij", quadc.cell_weights, ug, phis)
-    base = 3 * np.arange(mesh.n_cells)
-    r = np.broadcast_to(base[:, None, None] + np.arange(3)[None, :, None], E.shape)
-    c = np.broadcast_to(base[:, None, None] + np.arange(3)[None, None, :], E.shape)
-    rows.append(r.ravel()); cols.append(c.ravel()); vals.append(E.ravel())
+    cells: np.ndarray
+    shared: np.ndarray  # two-sided facets
+    shared_dofs: np.ndarray  # (nS, side, node)
+    onesided: np.ndarray
+    onesided_dofs: np.ndarray  # (nO, node), on the side the normal leaves
+    signs: np.ndarray  # orients each one-sided normal out of its side
+    mass: np.ndarray  # (3, 3) reference ∫ phi_k phi_j
+    trace: np.ndarray  # (nq, 2) facet node traces
+    weights: np.ndarray  # (nq, 4) w_q trace_a trace_b
+    slot: np.ndarray  # int32 CSR slot of every value
+    indptr: np.ndarray
+    indices: np.ndarray
 
-    w = dz.quad.facet_weights
-    if len(interior):
-        cells = mesh.facet_cells[interior]
-        lens = fg.lengths[interior]
-        normals = fg.normals[interior]
-        sigma = np.array([1.0, -1.0])
-        Tr = np.stack([_traces(fg, dz.quad, interior, np.zeros(len(interior), dtype=int)),
-                       _traces(fg, dz.quad, interior, np.ones(len(interior), dtype=int))], axis=1)
-        un = np.einsum("fskd,fsqk,fd->fsq", U[cells], Tr, normals)  # (nF,2,nq)
-        coeff = np.empty_like(un)
-        coeff[:, 0] = np.maximum(un[:, 0], 0.0)   # plus side: positive part
-        coeff[:, 1] = np.minimum(un[:, 1], 0.0)   # minus side: negative part
-        E = lens[:, None, None, None, None] * np.einsum(
-            "s,q,fsqi,ftq,ftqj->fsitj", sigma, w, Tr, coeff, Tr)
-        base = 3 * cells
-        r = np.broadcast_to(base[:, :, None, None, None] + np.arange(3)[None, None, :, None, None], E.shape)
-        c = np.broadcast_to(base[:, None, None, :, None] + np.arange(3)[None, None, None, None, :], E.shape)
-        rows.append(r.ravel()); cols.append(c.ravel()); vals.append(E.ravel())
+    @classmethod
+    def build(cls, dz: Discretization, cells, shared, onesided, sides,
+              signs) -> "ConvectionPlan":
+        quadc, t = quadrature(DEFAULT_CELL_ORDER), dz.quad.facet_points
+        phis = p1_values(quadc.cell_points)
+        T = np.column_stack([1.0 - t, t])
+        sd = np.stack([_node_dofs(dz, shared, np.zeros(len(shared), dtype=int)),
+                       _node_dofs(dz, shared, np.ones(len(shared), dtype=int))], axis=1)
+        od = _node_dofs(dz, onesided, sides)
+        # value order of `assemble`: volume (c, i, j), two-sided
+        # (test side, f, trial side, a, b), one-sided (f, a, b)
+        vol = 3 * np.asarray(cells)[:, None, None] + np.zeros((1, 3, 3), dtype=int)
+        rows = [vol + np.arange(3)[:, None], sd.transpose(1, 0, 2)[:, :, None, :, None],
+                od[:, :, None]]
+        cols = [vol + np.arange(3), sd[None, :, :, None, :], od[:, None, :]]
+        shapes = [vol.shape, (2, len(shared), 2, 2, 2), (len(onesided), 2, 2)]
+        n = dz.dofs.n_concentration
+        key = np.concatenate([(np.broadcast_to(r, s) * n + np.broadcast_to(c, s)).ravel()
+                              for r, c, s in zip(rows, cols, shapes)])
+        pattern, slot = np.unique(key, return_inverse=True)
+        # every assembled matrix shares these two arrays, so none may change them
+        indptr = np.searchsorted(pattern, n * np.arange(n + 1)).astype(np.int32)
+        indices = (pattern % n).astype(np.int32)
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        TT = (T[:, :, None] * T[:, None, :]).reshape(len(t), 4)
+        return cls(cells=np.asarray(cells), shared=shared, shared_dofs=sd,
+                   onesided=onesided, onesided_dofs=od,
+                   signs=np.asarray(signs, dtype=float),
+                   mass=phis.T @ (quadc.cell_weights[:, None] * phis), trace=T,
+                   weights=dz.quad.facet_weights[:, None] * TT,
+                   slot=slot.astype(np.int32), indptr=indptr, indices=indices)
 
-    for fids in (outflow_ids, inflow_ids):
-        if not len(fids):
-            continue
-        cells = mesh.facet_cells[fids, 0]
-        lens = fg.lengths[fids]
-        normals = fg.normals[fids]
-        Tr = _traces(fg, dz.quad, fids, np.zeros(len(fids), dtype=int))
-        un = np.einsum("fkd,fqk,fd->fq", U[cells], Tr, normals)
-        pos = np.maximum(un, 0.0)
-        E = lens[:, None, None] * np.einsum("q,fqi,fq,fqj->fij", w, Tr, pos, Tr)
-        base = 3 * cells
-        r = np.broadcast_to(base[:, None, None] + np.arange(3)[None, :, None], E.shape)
-        c = np.broadcast_to(base[:, None, None] + np.arange(3)[None, None, :], E.shape)
-        rows.append(r.ravel()); cols.append(c.ravel()); vals.append(E.ravel())
+    def assemble(self, dz: Discretization, u_h) -> sp.csr_matrix:
+        cg, fg = dz.cell_geom, dz.facet_geom
+        U = np.asarray(u_h, dtype=float).reshape(-1, 2)
+        c = self.cells
+        G = cg.grads[c] @ U.reshape(-1, 3, 2)[c].transpose(0, 2, 1)  # u_k·grad phi_i
+        vol = (-2.0 * cg.areas[c])[:, None, None] * (G @ self.mass)
+        un = _normal_velocity(U, self.shared_dofs, fg.normals[self.shared][:, None, :],
+                              self.trace)  # (nS, side, nq)
+        un[:, 0] = np.maximum(un[:, 0], 0.0)  # plus side: positive part
+        un[:, 1] = np.minimum(un[:, 1], 0.0)  # minus side: negative part
+        two = fg.lengths[self.shared][:, None, None] * (un @ self.weights)
+        un = _normal_velocity(U, self.onesided_dofs,
+                              fg.normals[self.onesided] * self.signs[:, None], self.trace)
+        one = fg.lengths[self.onesided][:, None] * (np.maximum(un, 0.0) @ self.weights)
+        values = np.concatenate([vol.ravel(), two.ravel(), -two.ravel(), one.ravel()])
+        n = len(self.indptr) - 1
+        return sp.csr_matrix((np.bincount(self.slot, values, len(self.indices)),
+                              self.indices, self.indptr), shape=(n, n))
 
-    # inflow load: -∫ (u·n)^- c_in r
-    t = dz.quad.facet_points
-    for f in inflow_ids:
-        cell = mesh.facet_cells[f, 0]
-        Tr = fg.trace_matrix(f, 0, t)
-        un = (U[cell].T @ Tr.T).T @ fg.normals[f]  # (nq,)
-        neg = np.minimum(un, 0.0)
-        g = c_in(facet_points_xy(mesh, f, t))
-        F[3 * cell: 3 * cell + 3] += -fg.lengths[f] * (Tr * (w * neg * g)[:, None]).sum(axis=0)
 
-    n = dofs.n_concentration
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
+def assemble_convection(dz: Discretization, u_h, c_in):
+    """(C, F) upwind convection operator on the fixed pattern of
+    `dz.convection_plan()` and its inflow data load  -∫ (u·n)^- c_in r."""
+    inflow = _marker_ids(dz.mesh, FacetMarker.INFLOW)
+    F = upwind_boundary_rhs(dz, inflow, np.zeros(len(inflow), dtype=int),
+                            np.ones(len(inflow)), u_h,
+                            _facet_data(dz, inflow, _as_callable(c_in)))
+    return dz.convection_plan().assemble(dz, u_h), F
+
+
+def upwind_boundary_rhs(dz: Discretization, fids, sides, signs, u_h, gvals) -> np.ndarray:
+    """Inflow data load  -∫ (u·n)^- gvals r  (scalar, full length)."""
+    out = np.zeros(dz.dofs.n_concentration)
+    if len(fids) == 0:
+        return out
+    fg, quad = dz.facet_geom, dz.quad
+    T = np.column_stack([1.0 - quad.facet_points, quad.facet_points])
+    dofs = _node_dofs(dz, fids, sides)
+    normals = fg.normals[fids] * np.asarray(signs, dtype=float)[:, None]
+    un = _normal_velocity(np.asarray(u_h, dtype=float).reshape(-1, 2), dofs, normals, T)
+    flux = quad.facet_weights * np.minimum(un, 0.0) * gvals
+    np.add.at(out, dofs, -fg.lengths[fids][:, None] * (flux[:, :, None] * T).sum(axis=1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -702,87 +735,13 @@ def facet_rhs_values(dz: Discretization, fids, sides, gvals,
     return out
 
 
-def upwind_boundary(dz: Discretization, fids, sides, signs, U3):
-    """One-sided (u·n)^+ facet entries; U3 is the (nc, 3, 2) velocity array."""
-    if len(fids) == 0:
-        return _empty_entries()
-    mesh, fg, quad = dz.mesh, dz.facet_geom, dz.quad
-    w = quad.facet_weights
-    cells = mesh.facet_cells[fids, sides]
-    lens = fg.lengths[fids]
-    normals = fg.normals[fids] * np.asarray(signs, dtype=float)[:, None]
-    Tr = _traces(fg, quad, fids, sides)
-    un = np.einsum("fkd,fqk,fd->fq", U3[cells], Tr, normals)
-    pos = np.maximum(un, 0.0)
-    E = lens[:, None, None] * np.einsum("q,fqi,fq,fqj->fij", w, Tr, pos, Tr)
-    base = 3 * cells
-    rows = np.broadcast_to(base[:, None, None] + np.arange(3)[None, :, None], E.shape)
-    cols = np.broadcast_to(base[:, None, None] + np.arange(3)[None, None, :], E.shape)
-    return rows.ravel(), cols.ravel(), E.ravel()
-
-
-def upwind_boundary_rhs(dz: Discretization, fids, sides, signs, U3, gvals) -> np.ndarray:
-    """Inflow data load  -∫ (u·n)^- gvals r  (scalar, full length)."""
-    out = np.zeros(dz.dofs.n_concentration)
-    if len(fids) == 0:
-        return out
-    mesh, fg, quad = dz.mesh, dz.facet_geom, dz.quad
-    cells = mesh.facet_cells[fids, sides]
-    normals = fg.normals[fids] * np.asarray(signs, dtype=float)[:, None]
-    Tr = _traces(fg, quad, fids, sides)
-    un = np.einsum("fkd,fqk,fd->fq", U3[cells], Tr, normals)
-    neg = np.minimum(un, 0.0)
-    vals = -fg.lengths[fids][:, None] * np.einsum(
-        "q,fqi,fq,fq->fi", quad.facet_weights, Tr, neg, gvals)
-    np.add.at(out, 3 * cells[:, None] + np.arange(3)[None, :], vals)
-    return out
-
-
 def local_upwind_convection(dz: Discretization, dom: LocalDomain, u_h) -> sp.csr_matrix:
     """Convection operator of a local domain: volume + interior upwind +
     one-sided (u·n)^+ over the whole local boundary.  Full-size scalar matrix."""
-    mesh = dz.mesh
-    cg = dz.cell_geom
-    U3 = u_h.reshape(mesh.n_cells, 3, 2)
-    n = dz.dofs.n_concentration
-
-    quadc = quadrature(DEFAULT_CELL_ORDER)
-    phis = p1_values(quadc.cell_points)
-    cells = dom.cells
-    uq = np.einsum("ckd,qk->cqd", U3[cells], phis)
-    ug = np.einsum("cqd,cid->cqi", uq, cg.grads[cells])
-    E = -2.0 * cg.areas[cells][:, None, None] * np.einsum(
-        "q,cqi,qj->cij", quadc.cell_weights, ug, phis)
-    base = 3 * cells
-    rows = np.broadcast_to(base[:, None, None] + np.arange(3)[None, :, None], E.shape)
-    cols = np.broadcast_to(base[:, None, None] + np.arange(3)[None, None, :], E.shape)
-    entries = [(rows.ravel(), cols.ravel(), E.ravel())]
-
-    fids = dom.interior_facets
-    if len(fids):
-        fg, quad = dz.facet_geom, dz.quad
-        w = quad.facet_weights
-        fcells = mesh.facet_cells[fids]
-        lens = fg.lengths[fids]
-        normals = fg.normals[fids]
-        sigma = np.array([1.0, -1.0])
-        Tr = np.stack([_traces(fg, quad, fids, np.zeros(len(fids), dtype=int)),
-                       _traces(fg, quad, fids, np.ones(len(fids), dtype=int))], axis=1)
-        un = np.einsum("fskd,fsqk,fd->fsq", U3[fcells], Tr, normals)
-        coeff = np.empty_like(un)
-        coeff[:, 0] = np.maximum(un[:, 0], 0.0)
-        coeff[:, 1] = np.minimum(un[:, 1], 0.0)
-        E = lens[:, None, None, None, None] * np.einsum(
-            "s,q,fsqi,ftq,ftqj->fsitj", sigma, w, Tr, coeff, Tr)
-        base = 3 * fcells
-        r = np.broadcast_to(base[:, :, None, None, None] + np.arange(3)[None, None, :, None, None], E.shape)
-        c = np.broadcast_to(base[:, None, None, :, None] + np.arange(3)[None, None, None, None, :], E.shape)
-        entries.append((r.ravel(), c.ravel(), E.ravel()))
-
     bd = dom.boundary()
-    sides, signs = dom.inside_side(mesh, bd)
-    entries.append(upwind_boundary(dz, bd, sides, signs, U3))
-    return _merge(entries, n)
+    sides, signs = dom.inside_side(dz.mesh, bd)
+    return ConvectionPlan.build(dz, dom.cells, dom.interior_facets, bd, sides,
+                                signs).assemble(dz, u_h)
 
 
 def assemble_local_stokes(dz: Discretization, dom: LocalDomain, mu: float,

@@ -3,14 +3,19 @@
 Projection matrices stack the per-domain basis rows; pressure is reduced to
 one piecewise-constant value per domain.  Every basis row is supported on one
 coarse domain, so each coarse operator R X Rᵀ is a set of small dense blocks,
-one per pair of neighbouring domains.  `galerkin` builds them from each
-domain's dense mode block with BLAS (`DomainBlocks`), serially, so results do
-not depend on the thread count.  The online stage works at coarse size: the
-fine operators are projected once onto the largest space of a sweep, and
-every smaller (nested) space takes the principal submatrix of the rows that
-its `rows(M)` keeps.  Coarse systems are dense and tiny; each distinct one is
-LU-factored once and reused at every step.  Reconstruction is the transpose
-map back to fine dofs.
+one per pair of neighbouring domains.  `galerkin` cuts the fine operator's
+pattern into those pairs (`PairPattern`) and builds each block from the
+domains' dense mode blocks with BLAS (`DomainBlocks`), serially, so results
+do not depend on the thread count.  The online stage works at coarse size:
+the fine operators are projected once onto the largest space of a sweep
+(`project_flow`, `project_transport`), and every smaller (nested) space
+takes the principal submatrix of the rows that its `rows(M)` keeps.  The
+upwind convection has one fixed fine pattern, so the transport projection
+keeps its pair plan, and each new convection matrix costs one gather of its
+data plus the block products.  Coarse systems are dense and tiny; each
+distinct one is LU-factored once and reused at every step.  Reconstruction
+is the transpose map back to fine dofs, the coefficients padded with zeros
+to every row of the largest space.
 """
 
 from __future__ import annotations
@@ -30,9 +35,10 @@ from .spectral import NestedSpace
 
 @dataclass
 class MultiscaleSpace:
-    """Projection matrices for the reduced spaces: the velocity rows of size
-    Mu (all rows when None) and the whole concentration space, whose nested
-    sizes the transport solve takes by `concentration_space.rows`."""
+    """Projection matrices of the whole velocity and concentration spaces.  A
+    coarse flow of size Mu (all rows when None) holds the velocity rows of
+    its operators (`CoarseFlowOperators.rows`); the transport solve takes
+    each nested size by `concentration_space.rows`."""
 
     R_u: sp.csr_matrix
     R_p: sp.csr_matrix  # 0/1 domain indicators over pressure dofs
@@ -54,13 +60,8 @@ def build_multiscale_space(dz: Discretization, partition: CoarsePartition,
                            velocity_space: NestedSpace,
                            concentration_space: NestedSpace | None = None,
                            Mu: int | None = None) -> MultiscaleSpace:
-    R_u = velocity_space.R
-    if Mu is not None:
-        ix = velocity_space.rows(Mu)
-        if len(ix) < R_u.shape[0]:  # the largest size is R itself, uncopied
-            R_u = R_u[ix]
     return MultiscaleSpace(
-        R_u=R_u,
+        R_u=velocity_space.R,
         R_p=pressure_indicators(dz, partition),
         R_c=None if concentration_space is None else concentration_space.R,
         partition=partition,
@@ -76,12 +77,23 @@ class CoarseFlowOperators:
     B: np.ndarray
     Fu: np.ndarray
     Fp: np.ndarray
+    rows: np.ndarray | None = None  # of the projected velocity space; None: all
 
     def restrict(self, ix: np.ndarray) -> "CoarseFlowOperators":
         """The operators of the nested space spanned by velocity rows ix."""
         sub = np.ix_(ix, ix)
         return CoarseFlowOperators(M=self.M[sub], A=self.A[sub],
-                                   B=self.B[:, ix], Fu=self.Fu[ix], Fp=self.Fp)
+                                   B=self.B[:, ix], Fu=self.Fu[ix], Fp=self.Fp,
+                                   rows=ix)
+
+
+def lift(R: sp.spmatrix, rows, x: np.ndarray) -> np.ndarray:
+    """Rᵀ x for coefficients x of the rows `rows` of R (all when None): x is
+    padded with zeros to every row, which adds exact zeros only and spares a
+    copy of the rows."""
+    padded = np.zeros(R.shape[0])
+    padded[slice(None) if rows is None else rows] = x
+    return np.asarray(R.T @ padded)
 
 
 class DomainBlocks:
@@ -114,8 +126,9 @@ class DomainBlocks:
         row_domain[held] = dof_domain[R.indices[R.indptr[held]]]
         self.rows = [np.flatnonzero(row_domain == d) for d in range(n_domains)]
 
-        col_local = np.empty(n_dofs, dtype=np.int64)
-        col_local[self.perm] = np.arange(n_dofs) - self.offsets[self.domain]
+        self.position = np.empty(n_dofs, dtype=np.int32)  # of each dof in perm
+        self.position[self.perm] = np.arange(n_dofs)
+        col_local = self.position - self.offsets[dof_domain]
         self.V = []
         for d, (rows, width) in enumerate(zip(self.rows, np.diff(self.offsets))):
             sub = R[rows]
@@ -131,35 +144,70 @@ class DomainBlocks:
             self.V.append(V)
 
 
+class PairPattern:
+    """A sparsity pattern cut into one CSR block per pair of domains (i, j)
+    of L and R that it couples, in the domain-contiguous dof order of each.
+
+    `gather` lists the pattern's entries pair by pair, so a matrix of this
+    pattern is cut with one `data[gather]`.  `symmetric` keeps only the
+    pairs with j >= i.
+    """
+
+    def __init__(self, X: sp.spmatrix, L: DomainBlocks, R: DomainBlocks,
+                 symmetric: bool = False):
+        if symmetric and L is not R:
+            raise ValueError("a symmetric projection needs one set of blocks")
+        X = sp.csr_matrix(X)
+        self.L, self.R, self.symmetric = L, R, symmetric
+        self.indptr, self.indices = X.indptr, X.indices
+        r = L.position[np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))]
+        c = R.position[X.indices]
+        di, dj = L.domain[r], R.domain[c]
+        keep = np.flatnonzero(di <= dj) if symmetric else np.arange(X.nnz)
+        pair = di[keep] * len(R.rows) + dj[keep]
+        # stable: each pair keeps the row-major order, which the permutations
+        # (stable sorts by domain) preserve
+        order = np.argsort(pair, kind="stable")
+        self.gather, pair = keep[order], pair[order]
+        cuts = np.flatnonzero(np.diff(pair)) + 1
+        self.blocks = []
+        for a, b in zip([0, *cuts], [*cuts, len(pair)]) if len(pair) else ():
+            i, j = divmod(int(pair[a]), len(R.rows))
+            ix = self.gather[a:b]
+            per_row = np.bincount(r[ix] - L.offsets[i],
+                                  minlength=L.offsets[i + 1] - L.offsets[i])
+            indptr = np.concatenate([[0], np.cumsum(per_row)]).astype(np.int32)
+            self.blocks.append((i, j, a, b, indptr, (c[ix] - R.offsets[j]).astype(np.int32)))
+
+    def project(self, X: sp.spmatrix) -> np.ndarray:
+        """The dense L X Rᵀ, one block V_i X_ij V_jᵀ per pair; with
+        `symmetric` each block below the diagonal is the transpose of its
+        mirror and each diagonal block is replaced by its symmetric part, so
+        the result is exactly symmetric."""
+        X = sp.csr_matrix(X)
+        if not (np.array_equal(X.indptr, self.indptr)
+                and np.array_equal(X.indices, self.indices)):
+            raise ValueError("matrix does not have the pattern of this projection")
+        L, R, data = self.L, self.R, X.data[self.gather]
+        H = np.zeros((L.n_rows, R.n_rows))
+        for i, j, a, b, indptr, indices in self.blocks:
+            X_ij = sp.csr_matrix((data[a:b], indices, indptr),
+                                 shape=(len(indptr) - 1, R.offsets[j + 1] - R.offsets[j]))
+            block = L.V[i] @ (X_ij @ R.V[j].T)
+            if self.symmetric and j == i:
+                block = (block + block.T) / 2
+            H[np.ix_(L.rows[i], R.rows[j])] = block
+            if self.symmetric and j != i:
+                H[np.ix_(R.rows[j], L.rows[i])] = block.T
+        return H
+
+
 def galerkin(X: sp.spmatrix, L: DomainBlocks, R: DomainBlocks,
              symmetric: bool = False) -> np.ndarray:
-    """The dense L X Rᵀ, one block V_i X_ij V_jᵀ per pair of domains (i, j)
-    that X couples, with the fine dofs of each domain made contiguous.
-
+    """The dense L X Rᵀ by domain blocks (`PairPattern.project`);
     `symmetric` declares a symmetric X projected on both sides by the same
-    blocks: only the blocks with j >= i are computed, each block below the
-    diagonal is the transpose of its mirror and each diagonal block is
-    replaced by its symmetric part, so the result is exactly symmetric.
-    """
-    if symmetric and L is not R:
-        raise ValueError("a symmetric projection needs one set of blocks")
-    X = sp.csr_matrix(X)[L.perm][:, R.perm]
-    H = np.zeros((L.n_rows, R.n_rows))
-    for i, (rows_i, V_i) in enumerate(zip(L.rows, L.V)):
-        X_i = X[L.offsets[i]:L.offsets[i + 1]]
-        touched = np.bincount(R.domain[X_i.indices], minlength=len(R.rows))
-        if symmetric:
-            touched[:i] = 0
-        for j in np.flatnonzero(touched):
-            rows_j = R.rows[j]
-            X_ij = X_i[:, R.offsets[j]:R.offsets[j + 1]]
-            block = V_i @ (X_ij @ R.V[j].T)
-            if symmetric and j == i:
-                block = (block + block.T) / 2
-            H[np.ix_(rows_i, rows_j)] = block
-            if symmetric and j != i:
-                H[np.ix_(rows_j, rows_i)] = block.T
-    return H
+    blocks, and makes the result exactly symmetric."""
+    return PairPattern(X, L, R, symmetric).project(X)
 
 
 def project_flow(space: MultiscaleSpace, ops: FlowOperators) -> CoarseFlowOperators:
@@ -194,6 +242,7 @@ class CoarseFlowSolution:
     pressures: list  # p_H per step
     steady_step: int | None
     space: MultiscaleSpace
+    rows: np.ndarray | None  # of space.R_u that the coefficients hold
 
     def velocity_at(self, step: int) -> np.ndarray:
         """Fine-grid reconstruction; returns a cached array once steady."""
@@ -201,7 +250,7 @@ class CoarseFlowSolution:
         return self._fine[k]
 
     def reconstruct(self):
-        self._fine = [np.asarray(self.space.R_u.T @ uH) for uH in self.coefficients]
+        self._fine = [lift(self.space.R_u, self.rows, uH) for uH in self.coefficients]
 
     @property
     def final_velocity(self) -> np.ndarray:
@@ -224,7 +273,7 @@ def solve_coarse_flow(space: MultiscaleSpace, cops: CoarseFlowOperators,
 
     uH = np.zeros(nU)
     sol = CoarseFlowSolution(coefficients=[uH], pressures=[np.zeros(nP)],
-                             steady_step=None, space=space)
+                             steady_step=None, space=space, rows=cops.rows)
     for step in range(1, grid.n_steps + 1):
         x = lu_solve(lu, np.concatenate([cops.Fu + cops.M @ uH / tau, cops.Fp]))
         unew, p = x[:nU], x[nU:]
@@ -246,21 +295,51 @@ class CoarseTransportSolution:
     coefficients: np.ndarray  # c_H at t_max
 
 
+@dataclass
+class CoarseTransportOperators:
+    """The velocity-independent transport of a sweep, projected once onto its
+    largest concentration space, and the plan that projects the convection
+    of each distinct velocity: its fine pattern cut into domain pairs."""
+
+    dz: Discretization
+    space: MultiscaleSpace
+    M: np.ndarray
+    A: np.ndarray
+    F: np.ndarray
+    m0: np.ndarray  # R_c M c0
+    convection: PairPattern
+
+
+def project_transport(dz: Discretization, space: MultiscaleSpace,
+                      M: sp.spmatrix, A: sp.spmatrix, F_static: np.ndarray,
+                      c0: np.ndarray) -> CoarseTransportOperators:
+    """Project the fine M, A (both symmetric), F_static and initial state
+    onto `space.R_c`; every velocity source of a sweep shares the result."""
+    Rc, plan = space.R_c, dz.convection_plan()
+    blocks = DomainBlocks(Rc, np.repeat(space.partition.cell_to_domain, 3))
+    pattern = sp.csr_matrix((np.zeros(len(plan.indices)), plan.indices, plan.indptr),
+                            shape=(Rc.shape[1], Rc.shape[1]))
+    return CoarseTransportOperators(
+        dz=dz, space=space,
+        M=galerkin(M, blocks, blocks, symmetric=True),
+        A=galerkin(A, blocks, blocks, symmetric=True),
+        F=np.asarray(Rc @ F_static),
+        m0=np.asarray(Rc @ (M @ np.asarray(c0, dtype=float))),
+        convection=PairPattern(pattern, blocks, blocks))
+
+
 class _NestedRun:
     """One M_c of a shared transport solve: its rows of the largest space,
-    its mass block, coefficients, current factors and fine-size reports.
-    Fields are lifted through the largest R_c with zero padding, which adds
-    exact zeros only and spares a copy of the rows."""
+    its mass block, coefficients, current factors and fine-size reports."""
 
-    def __init__(self, space: MultiscaleSpace, Mc: int | None,
-                 M_H: np.ndarray, m0: np.ndarray):
+    def __init__(self, cops: CoarseTransportOperators, Mc: int | None):
         self.Mc = Mc
-        self.ix = (np.arange(space.R_c.shape[0]) if Mc is None
-                   else space.concentration_space.rows(Mc))
+        self.Rc = cops.space.R_c
+        self.ix = (np.arange(self.Rc.shape[0]) if Mc is None
+                   else cops.space.concentration_space.rows(Mc))
         self.sub = np.ix_(self.ix, self.ix)
-        self.Rc = space.R_c
-        self.mass = M_H[self.sub]
-        self.cH = lu_solve(self.factor(M_H, "mass matrix"), m0[self.ix])
+        self.mass = cops.M[self.sub]
+        self.cH = lu_solve(self.factor(cops.M, "mass matrix"), cops.m0[self.ix])
         self.lu = None
         self.reported = {}
 
@@ -268,38 +347,27 @@ class _NestedRun:
         return factor(K[self.sub], f"coarse transport {what} at M_c={self.Mc}")
 
     def lift(self) -> np.ndarray:
-        padded = np.zeros(self.Rc.shape[0])
-        padded[self.ix] = self.cH
-        return np.asarray(self.Rc.T @ padded)
+        return lift(self.Rc, self.ix, self.cH)
 
 
-def solve_coarse_transport(dz: Discretization, space: MultiscaleSpace,
-                           M: sp.spmatrix, A: sp.spmatrix, F_static: np.ndarray,
-                           velocity_at, c_in, grid: TimeGrid, c0: np.ndarray,
-                           mc_list=(None,), report_steps=()) -> list:
+def solve_coarse_transport(cops: CoarseTransportOperators, velocity_at, c_in,
+                           grid: TimeGrid, mc_list=(None,),
+                           report_steps=()) -> list:
     """Reduced implicit Euler transport on every nested space of `mc_list`.
 
-    M, A, F_static are the fine operators (M and A symmetric).  They, the
-    initial state and the convection of each distinct `velocity_at(step)`
-    array are projected once onto `space`, the largest M_c, by domain blocks.
-    Each M_c takes the principal submatrix of its rows and factors its system
-    once per distinct velocity; all of them step together.  Returns one entry
-    per M_c: its CoarseTransportSolution, or the LinAlgError that stopped it
-    while the others kept stepping.  M_c = None stands for the whole space.
+    The convection of each distinct `velocity_at(step)` array is assembled
+    on its fixed fine pattern and projected through `cops.convection`, onto
+    the largest M_c.  Each M_c takes the principal submatrix of its rows and
+    factors its system once per distinct velocity; all of them step
+    together.  Returns one entry per M_c: its CoarseTransportSolution, or
+    the LinAlgError that stopped it while the others kept stepping.  M_c =
+    None stands for the whole space.
     """
-    Rc = space.R_c
     tau = grid.tau
-    blocks = DomainBlocks(Rc, np.repeat(space.partition.cell_to_domain, 3))
-
-    M_H = galerkin(M, blocks, blocks, symmetric=True)
-    A_H = galerkin(A, blocks, blocks, symmetric=True)
-    F_H = np.asarray(Rc @ F_static)
-    m0 = np.asarray(Rc @ (M @ np.asarray(c0, dtype=float)))
-
     runs, failed = [], {}
     for Mc in mc_list:
         try:
-            runs.append(_NestedRun(space, Mc, M_H, m0))
+            runs.append(_NestedRun(cops, Mc))
         except np.linalg.LinAlgError as exc:
             failed[Mc] = exc
 
@@ -308,10 +376,11 @@ def solve_coarse_transport(dz: Discretization, space: MultiscaleSpace,
     for step in range(1, grid.n_steps + 1):
         u = velocity_at(step)
         if u is not cached_u:
-            K, F = M_H / tau + A_H, F_H
+            K, F = cops.M / tau + cops.A, cops.F
             if u is not None:
-                C, Fc = assemble_convection(dz, u, c_in)
-                K, F = K + galerkin(C, blocks, blocks), F + np.asarray(Rc @ Fc)
+                C, Fc = assemble_convection(cops.dz, u, c_in)
+                K = K + cops.convection.project(C)
+                F = F + np.asarray(cops.space.R_c @ Fc)
                 del C, Fc  # no two fine convection matrices alive at once
             for run in list(runs):
                 try:

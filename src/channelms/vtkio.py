@@ -21,47 +21,33 @@ def write_vtk(path, mesh: Mesh, concentration=None, velocity=None,
     """
     nc = mesh.n_cells
     pts = mesh.nodes[mesh.cells].reshape(-1, 2)  # (3*nc, 2) duplicated
+    out = ["# vtk DataFile Version 3.0\nchannelms fields\nASCII\n"
+           f"DATASET UNSTRUCTURED_GRID\nPOINTS {len(pts)} double\n",
+           "".join(f"{x!r} {y!r} 0.0\n" for x, y in pts.tolist()),
+           f"CELLS {nc} {4 * nc}\n",
+           "".join(f"3 {c} {c + 1} {c + 2}\n" for c in range(0, 3 * nc, 3)),
+           f"CELL_TYPES {nc}\n", "5\n" * nc]  # VTK_TRIANGLE
+    if concentration is not None or velocity is not None:
+        out.append(f"POINT_DATA {len(pts)}\n")
+    if concentration is not None:
+        out.append("SCALARS concentration double 1\nLOOKUP_TABLE default\n")
+        out.append(_column(concentration))
+    if velocity is not None:
+        u = np.asarray(velocity, dtype=float).reshape(-1, 2)
+        out.append("VECTORS velocity double\n")
+        out.append("".join(f"{ux!r} {uy!r} 0.0\n" for ux, uy in u.tolist()))
+    if pressure is not None or partition is not None:
+        out.append(f"CELL_DATA {nc}\n")
+    if pressure is not None:
+        out.append("SCALARS pressure double 1\nLOOKUP_TABLE default\n")
+        out.append(_column(pressure))
+    if partition is not None:
+        out.append("SCALARS domain int 1\nLOOKUP_TABLE default\n")
+        out.append("".join(f"{int(v)}\n" for v in partition.cell_to_domain.tolist()))
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("channelms fields\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {len(pts)} double\n")
-        for x, y in pts:
-            fh.write(f"{float(x)!r} {float(y)!r} 0.0\n")
-        fh.write(f"CELLS {nc} {4 * nc}\n")
-        for c in range(nc):
-            fh.write(f"3 {3 * c} {3 * c + 1} {3 * c + 2}\n")
-        fh.write(f"CELL_TYPES {nc}\n")
-        fh.write("5\n" * nc)  # VTK_TRIANGLE
+        fh.write("".join(out))
 
-        wrote_point_header = False
-        if concentration is not None:
-            fh.write(f"POINT_DATA {len(pts)}\n")
-            wrote_point_header = True
-            fh.write("SCALARS concentration double 1\nLOOKUP_TABLE default\n")
-            for v in np.asarray(concentration, dtype=float):
-                fh.write(f"{float(v)!r}\n")
-        if velocity is not None:
-            if not wrote_point_header:
-                fh.write(f"POINT_DATA {len(pts)}\n")
-                wrote_point_header = True
-            u = np.asarray(velocity, dtype=float).reshape(-1, 2)
-            fh.write("VECTORS velocity double\n")
-            for ux, uy in u:
-                fh.write(f"{float(ux)!r} {float(uy)!r} 0.0\n")
 
-        wrote_cell_header = False
-        if pressure is not None:
-            fh.write(f"CELL_DATA {nc}\n")
-            wrote_cell_header = True
-            fh.write("SCALARS pressure double 1\nLOOKUP_TABLE default\n")
-            for v in np.asarray(pressure, dtype=float):
-                fh.write(f"{float(v)!r}\n")
-        if partition is not None:
-            if not wrote_cell_header:
-                fh.write(f"CELL_DATA {nc}\n")
-                wrote_cell_header = True
-            fh.write("SCALARS domain int 1\nLOOKUP_TABLE default\n")
-            for v in partition.cell_to_domain:
-                fh.write(f"{int(v)}\n")
+def _column(values) -> str:
+    """One repr-exact float per line."""
+    return "".join(f"{v!r}\n" for v in np.asarray(values, dtype=float).tolist())

@@ -16,6 +16,10 @@ from math import factorial
 
 import numpy as np
 
+import scipy.sparse as sp
+
+from channelms.assembly import DEFAULT_CELL_ORDER, _traces
+from channelms.dgspace import facet_points_xy, p1_values, quadrature
 from channelms.mesh import FacetMarker
 
 
@@ -406,6 +410,97 @@ def local_diffusion_with_bc(md: MeshData, cells, D, gamma_c,
         sides = [lookup[f][0] for f in robin_fids]
         A += facet_mass(md, robin_fids, sides, alpha)
     return A[np.ix_(sd, sd)]
+
+
+# --------------------------------------------------------------------------
+# the upwind convection as assembled before its fixed pattern: per-call
+# index arrays, 5-operand einsums, COO to CSR and a Python loop over the
+# inflow load (the equivalence reference of `assemble_convection`)
+# --------------------------------------------------------------------------
+
+def assemble_convection(dz, u_h, c_in):
+    """(C, F) of the upwind convection, assembled entry by entry."""
+    mesh = dz.mesh
+    F = np.zeros(dz.dofs.n_concentration)
+    data = c_in if callable(c_in) else (lambda x: np.full(len(x), float(c_in)))
+    C = _assemble_convection(dz, u_h, mesh.interior_facets(),
+                             np.flatnonzero(mesh.facet_marker == FacetMarker.INFLOW),
+                             np.flatnonzero(mesh.facet_marker == FacetMarker.OUTFLOW),
+                             data, F)
+    return C, F
+
+
+def _assemble_convection(dz, u_h, interior, inflow_ids, outflow_ids, c_in, F):
+    """Conservative upwind convection.
+
+    C(c, r) = -sum_K ∫ (u c)·grad r
+              + sum_{E0} ∫ ((u+·n)^+ c+ + (u-·n)^- c-) [r]
+              + sum_{E_out ∪ E_in} ∫ (u·n)^+ c r,
+    with the inflow data entering the load as  -∫ (u·n)^- c_in r.
+    """
+    mesh, dofs = dz.mesh, dz.dofs
+    cg, fg = dz.cell_geom, dz.facet_geom
+    U = u_h.reshape(mesh.n_cells, 3, 2)
+    rows, cols, vals = [], [], []
+
+    # volume: -∫ (u c)·grad r, trial c = phi_j, test r = phi_i
+    quadc = quadrature(DEFAULT_CELL_ORDER)
+    phis = p1_values(quadc.cell_points)  # (nq,3)
+    uq = np.einsum("ckd,qk->cqd", U, phis)  # (nc,nq,2)
+    ug = np.einsum("cqd,cid->cqi", uq, cg.grads)  # u·grad phi_i
+    E = -2.0 * cg.areas[:, None, None] * np.einsum("q,cqi,qj->cij", quadc.cell_weights, ug, phis)
+    base = 3 * np.arange(mesh.n_cells)
+    r = np.broadcast_to(base[:, None, None] + np.arange(3)[None, :, None], E.shape)
+    c = np.broadcast_to(base[:, None, None] + np.arange(3)[None, None, :], E.shape)
+    rows.append(r.ravel()); cols.append(c.ravel()); vals.append(E.ravel())
+
+    w = dz.quad.facet_weights
+    if len(interior):
+        cells = mesh.facet_cells[interior]
+        lens = fg.lengths[interior]
+        normals = fg.normals[interior]
+        sigma = np.array([1.0, -1.0])
+        Tr = np.stack([_traces(fg, dz.quad, interior, np.zeros(len(interior), dtype=int)),
+                       _traces(fg, dz.quad, interior, np.ones(len(interior), dtype=int))], axis=1)
+        un = np.einsum("fskd,fsqk,fd->fsq", U[cells], Tr, normals)  # (nF,2,nq)
+        coeff = np.empty_like(un)
+        coeff[:, 0] = np.maximum(un[:, 0], 0.0)   # plus side: positive part
+        coeff[:, 1] = np.minimum(un[:, 1], 0.0)   # minus side: negative part
+        E = lens[:, None, None, None, None] * np.einsum(
+            "s,q,fsqi,ftq,ftqj->fsitj", sigma, w, Tr, coeff, Tr)
+        base = 3 * cells
+        r = np.broadcast_to(base[:, :, None, None, None] + np.arange(3)[None, None, :, None, None], E.shape)
+        c = np.broadcast_to(base[:, None, None, :, None] + np.arange(3)[None, None, None, None, :], E.shape)
+        rows.append(r.ravel()); cols.append(c.ravel()); vals.append(E.ravel())
+
+    for fids in (outflow_ids, inflow_ids):
+        if not len(fids):
+            continue
+        cells = mesh.facet_cells[fids, 0]
+        lens = fg.lengths[fids]
+        normals = fg.normals[fids]
+        Tr = _traces(fg, dz.quad, fids, np.zeros(len(fids), dtype=int))
+        un = np.einsum("fkd,fqk,fd->fq", U[cells], Tr, normals)
+        pos = np.maximum(un, 0.0)
+        E = lens[:, None, None] * np.einsum("q,fqi,fq,fqj->fij", w, Tr, pos, Tr)
+        base = 3 * cells
+        r = np.broadcast_to(base[:, None, None] + np.arange(3)[None, :, None], E.shape)
+        c = np.broadcast_to(base[:, None, None] + np.arange(3)[None, None, :], E.shape)
+        rows.append(r.ravel()); cols.append(c.ravel()); vals.append(E.ravel())
+
+    # inflow load: -∫ (u·n)^- c_in r
+    t = dz.quad.facet_points
+    for f in inflow_ids:
+        cell = mesh.facet_cells[f, 0]
+        Tr = fg.trace_matrix(f, 0, t)
+        un = (U[cell].T @ Tr.T).T @ fg.normals[f]  # (nq,)
+        neg = np.minimum(un, 0.0)
+        g = c_in(facet_points_xy(mesh, f, t))
+        F[3 * cell: 3 * cell + 3] += -fg.lengths[f] * (Tr * (w * neg * g)[:, None]).sum(axis=0)
+
+    n = dofs.n_concentration
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
 
 
 # --------------------------------------------------------------------------

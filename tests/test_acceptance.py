@@ -23,7 +23,8 @@ from channelms.assembly import (DATA_PENALTY, Discretization, LocalDomain,
                                 local_diffusion_with_bc, scalar_mass)
 from channelms.cli import load_preset
 from channelms.coarse_solver import (build_multiscale_space, project_flow,
-                                     solve_coarse_flow, solve_coarse_transport)
+                                     project_transport, solve_coarse_flow,
+                                     solve_coarse_transport)
 from channelms.errors import concentration_error, velocity_error
 from channelms.fine_solver import (TimeGrid, constant_concentration,
                                    solve_flow, solve_transport)
@@ -155,8 +156,9 @@ def test_criterion_4_full_space_reproduction():
                                    cfg.diffusion, cfg.alpha, cfg.gamma_c)
     space = build_multiscale_space(dz, part, vs, cs)
     cf = solve_coarse_flow(space, project_flow(space, fops), grid)
-    (ct,) = solve_coarse_transport(dz, space, tops.M, tops.A, tops.F,
-                                   flow.velocity_at, cfg.c_in, grid, c0)
+    (ct,) = solve_coarse_transport(
+        project_transport(dz, space, tops.M, tops.A, tops.F, c0),
+        flow.velocity_at, cfg.c_in, grid)
     e_u = velocity_error(dz, cf.final_velocity, flow.velocity_at(grid.n_steps))
     e_c = concentration_error(dz, ct.final, fine.final)
     ok = e_u < 1.0 and e_c < 1.0
@@ -241,7 +243,7 @@ def test_criterion_7_spectral_verification(small_dz, small_partition, tmp_path):
                            n_domains=4, mu_list=(2,), mc_list=(1,),
                            n_steps=4, t_max=0.1, out_dir=str(tmp_path))
     run_experiment(cfg)
-    files = ["eigen_u_M2.csv", "eigen_c_elliptic_M1.csv"]
+    files = ["eigen_u.csv", "eigen_c_elliptic.csv"]
     for name in files:
         path = tmp_path / name
         if not path.exists():

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 import oracles
-from channelms.assembly import (DATA_PENALTY, LocalDomain,
+from channelms.assembly import (DATA_PENALTY, Discretization, LocalDomain,
                                 assemble_convection, assemble_flow,
                                 assemble_local_concentration_forms,
                                 assemble_local_stokes,
@@ -17,6 +17,7 @@ from channelms.assembly import (DATA_PENALTY, LocalDomain,
                                 local_upwind_convection, scalar_mass,
                                 scalar_stiffness)
 from channelms.harness import inflow_profile, ExperimentConfig
+from channelms.mesh import ChannelParams, FacetMarker, generate_channel
 
 TOL = 1e-12
 
@@ -63,6 +64,45 @@ def test_convection_oracle(tiny_dz, md):
     u_h = np.tile(U_CONST, 3 * tiny_dz.mesh.n_cells)
     C, _ = assemble_convection(tiny_dz, u_h, c_in=0.0)
     assert _diff(C, oracles.convection_constant_u(md, U_CONST)) < TOL
+
+
+@pytest.mark.parametrize("flip_seed", [None, 3])  # structured, unstructured
+def test_convection_matches_entrywise_assembly(flip_seed, rng):
+    # the fixed-pattern operator against the per-call COO assembly it
+    # replaced: random velocities (their normal component changes sign from
+    # facet to facet and side to side) and zero
+    dz = Discretization.from_mesh(generate_channel(ChannelParams(
+        length=0.5, half_width=0.05, target_cells=400, flip_seed=flip_seed)))
+    c_in = lambda x: 1.0 + x[:, 0] - 3.0 * x[:, 1]
+    loads = []
+    for u_h in (rng.standard_normal(dz.dofs.n_velocity),
+                rng.uniform(-1.0, 3.0, dz.dofs.n_velocity),
+                np.zeros(dz.dofs.n_velocity)):
+        C, F = assemble_convection(dz, u_h, c_in)
+        C_ref, F_ref = oracles.assemble_convection(dz, u_h, c_in)
+        assert _diff(C, C_ref.toarray()) <= 1e-13 * np.abs(C_ref).max()
+        assert np.array_equal(F, F_ref)
+        loads.append(np.count_nonzero(F_ref))
+    assert loads[0] and loads[1] and not loads[2]
+    assert dz.convection_plan() is dz.convection_plan()  # built once
+
+
+def test_convection_plan_follows_facet_markers(small_mesh, rng):
+    # a plan is built for the facet markers it sees, and rebuilt when they
+    # change: closing the channel drops the inflow and outflow terms
+    dz = Discretization.from_mesh(small_mesh)
+    u_h = rng.standard_normal(dz.dofs.n_velocity)
+    open_plan = dz.convection_plan()
+    marker = small_mesh.facet_marker.copy()
+    small_mesh.facet_marker[marker != FacetMarker.INTERIOR] = FacetMarker.WALL
+    try:
+        closed, _ = assemble_convection(dz, u_h, 0.0)
+        ref, _ = oracles.assemble_convection(dz, u_h, 0.0)
+        assert _diff(closed, ref.toarray()) <= 1e-13 * np.abs(ref).max()
+        assert dz.convection_plan() is not open_plan
+    finally:
+        small_mesh.facet_marker[:] = marker
+    assert len(dz.convection_plan().onesided) == len(open_plan.onesided)
 
 
 def test_local_concentration_forms_oracle(tiny_dz, md, tiny_partition):

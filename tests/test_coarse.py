@@ -9,9 +9,11 @@ import scipy.sparse as sp
 from channelms.assembly import (assemble_convection, assemble_flow,
                                 assemble_transport)
 from channelms.coarse_solver import (DomainBlocks, MultiscaleSpace,
-                                     build_multiscale_space, galerkin,
+                                     PairPattern, build_multiscale_space,
+                                     galerkin,
                                      pressure_indicators, project_flow,
-                                     solve_coarse_flow, solve_coarse_transport)
+                                     project_transport, solve_coarse_flow,
+                                     solve_coarse_transport)
 from channelms.fine_solver import (TimeGrid, constant_concentration,
                                    solve_flow, solve_transport)
 from channelms.harness import ExperimentConfig, inflow_profile
@@ -104,8 +106,8 @@ def test_identity_projection_matches_fine_transport(small_dz, small_partition, r
     fine = solve_transport(small_dz, ops.M, ops.A, ops.F, lambda s: u_const,
                            1.0, grid, c0, report_steps=(4, 8))
     space = _identity_space(small_dz, small_partition, with_c=True)
-    (coarse,) = solve_coarse_transport(small_dz, space, ops.M, ops.A, ops.F,
-                                       lambda s: u_const, 1.0, grid, c0,
+    cops = project_transport(small_dz, space, ops.M, ops.A, ops.F, c0)
+    (coarse,) = solve_coarse_transport(cops, lambda s: u_const, 1.0, grid,
                                        report_steps=(4, 8))
     ref = np.linalg.norm(fine.final)
     assert np.linalg.norm(coarse.final - fine.final) < 1e-8 * ref
@@ -122,8 +124,8 @@ def test_reduced_transport_step_equation(small_dz, small_partition):
                             partition=small_partition)
     c0 = constant_concentration(small_dz, 1.0)
     grid = TimeGrid(0.1, 1)
-    (sol,) = solve_coarse_transport(small_dz, space, ops.M, ops.A, ops.F,
-                                    lambda s: None, 0.0, grid, c0)
+    cops = project_transport(small_dz, space, ops.M, ops.A, ops.F, c0)
+    (sol,) = solve_coarse_transport(cops, lambda s: None, 0.0, grid)
     Rc = cs.R.toarray()
     M_H = Rc @ ops.M.toarray() @ Rc.T
     A_H = Rc @ ops.A.toarray() @ Rc.T
@@ -166,15 +168,15 @@ def test_singular_size_fails_alone_in_shared_transport(small_dz, small_partition
     u = np.tile([0.4, 0.0], 3 * small_dz.mesh.n_cells)
     c0 = constant_concentration(small_dz, 1.0)
     grid = TimeGrid(0.2, 4)
-    ok, failed = solve_coarse_transport(small_dz, space, ops.M, ops.A, ops.F,
-                                        lambda s: u, 0.0, grid, c0, (1, 2),
+    cops = project_transport(small_dz, space, ops.M, ops.A, ops.F, c0)
+    ok, failed = solve_coarse_transport(cops, lambda s: u, 0.0, grid, (1, 2),
                                         report_steps=(2,))
     assert isinstance(failed, np.linalg.LinAlgError)
     assert "singular coarse transport mass matrix at M_c=2" in str(failed)
     own = MultiscaleSpace(R_u=None, R_p=None, R_c=cs.R,
                           partition=small_partition)
-    (want,) = solve_coarse_transport(small_dz, own, ops.M, ops.A, ops.F,
-                                     lambda s: u, 0.0, grid, c0,
+    own_ops = project_transport(small_dz, own, ops.M, ops.A, ops.F, c0)
+    (want,) = solve_coarse_transport(own_ops, lambda s: u, 0.0, grid,
                                      report_steps=(2,))
     assert np.array_equal(ok.coefficients, want.coefficients)
     assert np.array_equal(ok.reported[2], want.reported[2])
@@ -188,7 +190,7 @@ def _close_to_oracle(H, X, L, R):
 
 @pytest.mark.parametrize("mode", ["structured", "unstructured"])
 @pytest.mark.parametrize("kind", ["type1", "type2"])
-def test_galerkin_matches_sparse_products(small_mesh, small_dz, mode, kind):
+def test_galerkin_matches_sparse_products(small_mesh, small_dz, mode, kind, rng):
     dz = small_dz
     part = partition_coarse(small_mesh, 4, mode=mode)
     cells = part.cell_to_domain
@@ -213,6 +215,12 @@ def test_galerkin_matches_sparse_products(small_mesh, small_dz, mode, kind):
                                   1.0)
     assert conv.nnz
     _close_to_oracle(galerkin(conv, C, C), conv, Rc, Rc)
+    # one gather plan projects every convection matrix of the fixed pattern
+    plan = PairPattern(conv, C, C)
+    for _ in range(2):
+        other, _ = assemble_convection(dz, rng.standard_normal(dz.dofs.n_velocity),
+                                       1.0)
+        _close_to_oracle(plan.project(other), other, Rc, Rc)
 
 
 def test_galerkin_identity_and_zero_rows(small_dz, small_partition):
@@ -247,3 +255,5 @@ def test_domain_blocks_misuse_is_rejected(small_partition):
     L, R = DomainBlocks(eye, dof_domain), DomainBlocks(eye, dof_domain)
     with pytest.raises(ValueError, match="one set of blocks"):
         galerkin(eye, L, R, symmetric=True)
+    with pytest.raises(ValueError, match="does not have the pattern"):
+        PairPattern(eye, L, R).project(eye[:, ::-1])

@@ -8,8 +8,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from channelms import fine_solver
-from channelms.assembly import (Discretization, assemble_flow,
-                                assemble_transport)
+from channelms.assembly import (Discretization, assemble_convection,
+                                assemble_flow, assemble_transport)
 from channelms.fine_solver import (TimeGrid, constant_concentration,
                                    solve_flow, solve_steady_flow,
                                    solve_transport)
@@ -191,3 +191,60 @@ def test_flow_residual_check(small_dz, monkeypatch):
     monkeypatch.setattr(fine_solver, "splu", Broken)
     with pytest.raises(RuntimeError, match="relative residual .* > 1e-10"):
         solve_flow(small_dz, ops, TimeGrid(0.1, 5))
+
+
+@pytest.mark.parametrize("preset", ["test1_rbc", "test3_unstructured"])
+def test_transport_ordering_matches_default_splu(preset):
+    # the minimum-degree, diagonal-pivot factorization against scipy's
+    # default COLAMD one, at every step and every refactorization while the
+    # fine flow settles
+    cfg = replace(load_preset(preset), target_cells=1500)
+    params = cfg.channel_params()
+    dz = Discretization.from_mesh(generate_channel(params))
+    grid = cfg.time_grid()
+    flow = solve_flow(dz, assemble_flow(dz, cfg.mu, cfg.rho, cfg.gamma_u,
+                                        inflow_profile(cfg, params)), grid)
+    ops = assemble_transport(dz, cfg.diffusion, cfg.alpha, cfg.gamma_c,
+                             cfg.bc_kind, cfg.wall_data(), cfg.c_in, None)
+    c0 = constant_concentration(dz, cfg.c_0)
+    steps = range(1, grid.n_steps + 1)
+    sol = solve_transport(dz, ops.M, ops.A, ops.F, flow.velocity_at, cfg.c_in,
+                          grid, c0, report_steps=steps)
+    c, cached_u = c0, None
+    for step in steps:
+        u = flow.velocity_at(step)
+        if u is not cached_u:
+            C, F_conv = assemble_convection(dz, u, cfg.c_in)
+            lu = splu((ops.M / grid.tau + ops.A + C).tocsc())
+            cached_u = u
+        c = lu.solve(ops.F + F_conv + ops.M @ c / grid.tau)
+        got = sol.reported[step]
+        assert np.linalg.norm(got - c) <= 1e-12 * np.linalg.norm(c), step
+    assert flow.steady_step > 2  # several factorizations were checked
+
+
+def test_transport_residual_check(small_dz, monkeypatch):
+    # the first solve after every factorization is checked: only the second
+    # factorization is broken, and the step that makes it fails
+    made = []
+
+    class BrokenSecond:
+        def __init__(self, K, **kw):
+            self.lu = splu(K, **kw)
+            self.scale = 1.001 if made else 1.0
+            made.append(self)
+
+        def solve(self, rhs):
+            return self.scale * self.lu.solve(rhs)
+
+    ops = assemble_transport(small_dz, D=0.01, alpha=0.01, gamma_c=8.0,
+                             wall_bc="rbc", wall_data=1.0, c_in=0.0, u_h=None)
+    u1 = np.tile([0.5, 0.0], 3 * small_dz.mesh.n_cells)
+    u2 = 2.0 * u1
+    monkeypatch.setattr(fine_solver, "splu", BrokenSecond)
+    with pytest.raises(RuntimeError,
+                       match="fine transport solve has relative residual .* > 1e-10"):
+        solve_transport(small_dz, ops.M, ops.A, ops.F,
+                        lambda s: u1 if s < 3 else u2, 0.0, TimeGrid(0.1, 5),
+                        constant_concentration(small_dz, 1.0))
+    assert len(made) == 2

@@ -151,12 +151,12 @@ def test_sweep_artifacts_written(tiny_reports):
     timings = (out / "timings.csv").read_text().splitlines()
     assert timings[0] == "phase,seconds"
     assert {t.split(",")[0] for t in timings[1:]} >= {"mesh", "fine", "total"}
-    eig = (out / "eigen_u_M2.csv").read_text().splitlines()
+    eig = (out / "eigen_u.csv").read_text().splitlines()
     assert eig[0] == "domain,r,k,lambda"
     doms = {int(line.split(",")[0]) for line in eig[1:]}
     assert doms == {0, 1, 2, 3}
-    for mc in (1, 2):
-        assert (out / f"eigen_c_elliptic_M{mc}.csv").exists()
+    assert (out / "eigen_c_elliptic.csv").exists()
+    assert not list(out.glob("eigen_*_M*.csv"))  # one file per space
     _check_vtk(out / "fields_fine.vtk")
     _check_vtk(out / "fields_ms.vtk")
 
@@ -175,9 +175,9 @@ def _check_vtk(path):
 
 
 def test_failed_row_recorded_without_aborting(monkeypatch):
-    # the shared solve gets a zero row that only the M_c=1 space keeps
+    # the shared projection gets a zero row that only the M_c=1 space keeps
     calls = {"n": 0}
-    orig = harness.solve_coarse_transport
+    orig = harness.project_transport
 
     def singular_at_mc1(dz, space, *args, **kw):
         calls["n"] += 1
@@ -189,9 +189,9 @@ def test_failed_row_recorded_without_aborting(monkeypatch):
         return orig(dz, replace(space, R_c=R_c, concentration_space=nested),
                     *args, **kw)
 
-    monkeypatch.setattr(harness, "solve_coarse_transport", singular_at_mc1)
+    monkeypatch.setattr(harness, "project_transport", singular_at_mc1)
     report = run_experiment(_tiny_cfg())
-    assert calls["n"] == 1  # one shared solve steps both M_c
+    assert calls["n"] == 1  # one shared projection serves both M_c
     by_mc = {row["Mc"]: row for row in report.rows}
     assert by_mc[1]["error"].startswith(
         "LinAlgError: singular coarse transport mass matrix at M_c=1")
@@ -200,6 +200,20 @@ def test_failed_row_recorded_without_aborting(monkeypatch):
     assert lines[1].split(",")[7:11] == ["nan"] * 4
     assert "M_c=1" in lines[1].split(",")[-2]
     assert lines[2].split(",")[-2] == ""
+
+
+def test_coarse_flows_lift_through_the_whole_velocity_space():
+    # every M_u reconstructs through the largest space's R with zero
+    # padding, bitwise equal to the product with a copy of its rows
+    cfg = _tiny_cfg(mu_list=(1, 2, 3))
+    offline = harness.run_offline_phase(cfg, harness.run_fine_phase(cfg))
+    vs = offline.velocity
+    for Mu, (cf, _) in offline.flows.items():
+        assert cf.space.R_u is vs.R
+        R = vs.R[vs.rows(Mu)]
+        assert R.shape[0] < vs.R.shape[0] or Mu == 3
+        for step, uH in enumerate(cf.coefficients):
+            assert np.array_equal(cf.velocity_at(step), R.T @ uH)
 
 
 @pytest.mark.parametrize("velocity", ["fine", "multiscale"])
@@ -373,7 +387,7 @@ def test_cli_basis_writes_the_spaces_of_run(tmp_path, capsys):
     cli.main(["basis", "--config", str(path), "--out", str(tmp_path / "basis")])
     assert "concentration space: 20 rows, reported dof 20" in capsys.readouterr().out
     run_experiment(replace(cfg, out_dir=str(tmp_path / "run")))
-    for name in ("eigen_u_M2.csv", "eigen_c_timevelocity_M2.csv"):
+    for name in ("eigen_u.csv", "eigen_c_timevelocity.csv"):
         assert ((tmp_path / "basis" / name).read_text()
                 == (tmp_path / "run" / name).read_text())
 
