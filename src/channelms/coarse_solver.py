@@ -1,21 +1,22 @@
 """Coarse (reduced-order) flow and transport solves.
 
-Projection matrices stack the per-domain basis rows; pressure is reduced to
-one piecewise-constant value per domain.  Every basis row is supported on one
-coarse domain, so each coarse operator R X Rᵀ is a set of small dense blocks,
-one per pair of neighbouring domains.  `galerkin` cuts the fine operator's
-pattern into those pairs (`PairPattern`) and builds each block from the
-domains' dense mode blocks with BLAS (`DomainBlocks`), serially, so results
-do not depend on the thread count.  The online stage works at coarse size:
-the fine operators are projected once onto the largest space of a sweep
-(`project_flow`, `project_transport`), and every smaller (nested) space
-takes the principal submatrix of the rows that its `rows(M)` keeps.  The
-upwind convection has one fixed fine pattern, so the transport projection
-keeps its pair plan, and each new convection matrix costs one gather of its
-data plus the block products.  Coarse systems are dense and tiny; each
-distinct one is LU-factored once and reused at every step.  Reconstruction
-is the transpose map back to fine dofs, the coefficients padded with zeros
-to every row of the largest space.
+Every space is a `NestedSpace` of per-domain mode blocks: velocity and
+concentration from the offline stage, and pressure with one constant per
+domain (`pressure_space`).  Each basis row is supported on one coarse domain,
+so each coarse operator R X Rᵀ is a set of small dense blocks, one per pair
+of neighbouring domains.  `DomainBlocks` stacks each domain's mode vectors
+into one dense block, and `galerkin` cuts the fine operator's pattern into
+those pairs (`PairPattern`) and builds each block with BLAS, serially, so
+results do not depend on the thread count.  The online stage works at coarse
+size: the fine operators are projected once onto the largest space of a
+sweep (`project_flow`, `project_transport`), and every smaller (nested)
+space takes the principal submatrix of the rows that its `rows(M)` keeps.
+The upwind convection has one fixed fine pattern, so the transport
+projection keeps its pair plan, and each new convection matrix costs one
+gather of its data plus the block products.  Coarse systems are dense and
+tiny; each distinct one is LU-factored once and reused at every step.
+Reconstruction is the transpose map back to fine dofs, the coefficients
+padded with zeros to every row of the largest space.
 """
 
 from __future__ import annotations
@@ -30,44 +31,17 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from .assembly import Discretization, FlowOperators, assemble_convection
 from .fine_solver import STEADY_TOL, TimeGrid
 from .mesh import CoarsePartition
-from .spectral import NestedSpace
+from .spectral import ModeBlock, NestedSpace
 
 
-@dataclass
-class MultiscaleSpace:
-    """Projection matrices of the whole velocity and concentration spaces.  A
-    coarse flow of size Mu (all rows when None) holds the velocity rows of
-    its operators (`CoarseFlowOperators.rows`); the transport solve takes
-    each nested size by `concentration_space.rows`."""
-
-    R_u: sp.csr_matrix
-    R_p: sp.csr_matrix  # 0/1 domain indicators over pressure dofs
-    R_c: sp.csr_matrix | None
-    partition: CoarsePartition
-    Mu: int | None = None
-    concentration_space: NestedSpace | None = None
-
-
-def pressure_indicators(dz: Discretization, partition: CoarsePartition) -> sp.csr_matrix:
-    rows = partition.cell_to_domain
-    cols = np.arange(dz.mesh.n_cells)
-    vals = np.ones(dz.mesh.n_cells)
-    return sp.coo_matrix((vals, (rows, cols)),
-                         shape=(partition.n_domains, dz.mesh.n_cells)).tocsr()
-
-
-def build_multiscale_space(dz: Discretization, partition: CoarsePartition,
-                           velocity_space: NestedSpace,
-                           concentration_space: NestedSpace | None = None,
-                           Mu: int | None = None) -> MultiscaleSpace:
-    return MultiscaleSpace(
-        R_u=velocity_space.R,
-        R_p=pressure_indicators(dz, partition),
-        R_c=None if concentration_space is None else concentration_space.R,
-        partition=partition,
-        Mu=Mu,
-        concentration_space=concentration_space,
-    )
+def pressure_space(partition: CoarsePartition) -> NestedSpace:
+    """Piecewise-constant pressure: one whole block of ones per domain, on
+    the domain's cells, so R holds the 0/1 domain indicators."""
+    cells = [partition.domain_cells(d) for d in range(partition.n_domains)]
+    blocks = [ModeBlock(domain=d, label="pressure", eigenvalues=np.zeros(0),
+                        vectors=np.ones((1, len(c))), dofs=c)
+              for d, c in enumerate(cells)]
+    return NestedSpace.stack("pressure", blocks, len(partition.cell_to_domain))
 
 
 @dataclass
@@ -78,13 +52,15 @@ class CoarseFlowOperators:
     Fu: np.ndarray
     Fp: np.ndarray
     rows: np.ndarray | None = None  # of the projected velocity space; None: all
+    Mu: int | None = None  # the size of those rows, for error messages
 
-    def restrict(self, ix: np.ndarray) -> "CoarseFlowOperators":
-        """The operators of the nested space spanned by velocity rows ix."""
+    def restrict(self, Mu: int, ix: np.ndarray) -> "CoarseFlowOperators":
+        """The operators of the nested space of size Mu, spanned by velocity
+        rows ix."""
         sub = np.ix_(ix, ix)
         return CoarseFlowOperators(M=self.M[sub], A=self.A[sub],
                                    B=self.B[:, ix], Fu=self.Fu[ix], Fp=self.Fp,
-                                   rows=ix)
+                                   rows=ix, Mu=Mu)
 
 
 def lift(R: sp.spmatrix, rows, x: np.ndarray) -> np.ndarray:
@@ -97,51 +73,38 @@ def lift(R: sp.spmatrix, rows, x: np.ndarray) -> np.ndarray:
 
 
 class DomainBlocks:
-    """The rows of a projection matrix R grouped by the coarse domain that
-    holds their support.
+    """The modes of a space grouped by coarse domain.
 
-    `dof_domain` maps each fine dof (column of R) to its domain.  Domain d
-    owns the fine dofs perm[offsets[d]:offsets[d+1]] and the rows rows[d] of
-    R; V[d] = R[rows[d]][:, those dofs] is its dense mode block.  All-zero
-    rows belong to no domain, so they project to zero.
+    Domain d owns the rows rows[d] of the space's R, held by its blocks, and
+    the fine dofs perm[offsets[d]:offsets[d+1]] that its blocks share; V[d]
+    stacks its blocks' mode vectors, its dense mode block.
     """
 
-    def __init__(self, R: sp.spmatrix, dof_domain: np.ndarray):
-        R = sp.csr_matrix(R)
-        self.n_rows, n_dofs = R.shape
-        if len(dof_domain) != n_dofs:
-            raise ValueError(f"{len(dof_domain)} dof domains for "
-                             f"{n_dofs} projection columns")
-        self.perm = np.argsort(dof_domain, kind="stable")
-        self.domain = dof_domain[self.perm]  # of each permuted dof
-        n_domains = int(self.domain[-1]) + 1 if n_dofs else 0
-        self.offsets = np.searchsorted(self.domain, np.arange(n_domains + 1))
-
-        if not (R.has_canonical_format and R.data.all()):
-            R = R.copy()
-            R.sum_duplicates()
-            R.eliminate_zeros()
-        held = np.flatnonzero(np.diff(R.indptr))
-        row_domain = np.full(self.n_rows, -1)
-        row_domain[held] = dof_domain[R.indices[R.indptr[held]]]
-        self.rows = [np.flatnonzero(row_domain == d) for d in range(n_domains)]
-
+    def __init__(self, space: NestedSpace):
+        self.n_rows, n_dofs = space.R.shape
+        ends = np.cumsum([len(b.vectors) for b in space.blocks])
+        per_domain = {}
+        for b, end in zip(space.blocks, ends):
+            rows = np.arange(end - len(b.vectors), end)
+            per_domain.setdefault(b.domain, []).append((b, rows))
+        dofs, self.rows, self.V = [], [], []
+        for d in sorted(per_domain):
+            blocks, rows = zip(*per_domain[d])
+            if any(not np.array_equal(b.dofs, blocks[0].dofs) for b in blocks):
+                raise ValueError(f"{space.name} blocks of domain {d} disagree "
+                                 f"on their dofs")
+            dofs.append(blocks[0].dofs)
+            self.rows.append(np.concatenate(rows))
+            self.V.append(np.vstack([b.vectors for b in blocks]))
+        self.perm = np.concatenate(dofs)
+        if not np.array_equal(np.sort(self.perm), np.arange(n_dofs)):
+            raise ValueError(f"the dofs of the {space.name} domains are not a "
+                             f"permutation of its {n_dofs} fine dofs")
+        widths = [len(x) for x in dofs]
+        self.offsets = np.concatenate([[0], np.cumsum(widths, dtype=int)])
+        self.domain = np.repeat(np.arange(len(dofs)), widths)  # of each permuted dof
         self.position = np.empty(n_dofs, dtype=np.int32)  # of each dof in perm
         self.position[self.perm] = np.arange(n_dofs)
-        col_local = self.position - self.offsets[dof_domain]
-        self.V = []
-        for d, (rows, width) in enumerate(zip(self.rows, np.diff(self.offsets))):
-            sub = R[rows]
-            stray = np.flatnonzero(dof_domain[sub.indices] != d)
-            if len(stray):
-                row = rows[np.searchsorted(sub.indptr, stray[0], side="right") - 1]
-                other = dof_domain[sub.indices[stray[0]]]
-                raise ValueError(f"projection row {row} spans domains "
-                                 f"{min(d, other)} and {max(d, other)}")
-            V = np.zeros((len(rows), width))
-            V[np.repeat(np.arange(len(rows)), np.diff(sub.indptr)),
-              col_local[sub.indices]] = sub.data
-            self.V.append(V)
 
 
 class PairPattern:
@@ -210,16 +173,15 @@ def galerkin(X: sp.spmatrix, L: DomainBlocks, R: DomainBlocks,
     return PairPattern(X, L, R, symmetric).project(X)
 
 
-def project_flow(space: MultiscaleSpace, ops: FlowOperators) -> CoarseFlowOperators:
-    cell_domain = space.partition.cell_to_domain
-    U = DomainBlocks(space.R_u, np.repeat(cell_domain, 6))
-    P = DomainBlocks(space.R_p, cell_domain)
+def project_flow(velocity: NestedSpace, pressure: NestedSpace,
+                 ops: FlowOperators) -> CoarseFlowOperators:
+    U, P = DomainBlocks(velocity), DomainBlocks(pressure)
     return CoarseFlowOperators(
         M=galerkin(ops.M, U, U, symmetric=True),
         A=galerkin(ops.A, U, U, symmetric=True),
         B=galerkin(ops.B, P, U),
-        Fu=np.asarray(space.R_u @ ops.Fu),
-        Fp=np.asarray(space.R_p @ ops.Fp),
+        Fu=np.asarray(velocity.R @ ops.Fu),
+        Fp=np.asarray(pressure.R @ ops.Fp),
     )
 
 
@@ -241,8 +203,8 @@ class CoarseFlowSolution:
     coefficients: list  # u_H per step
     pressures: list  # p_H per step
     steady_step: int | None
-    space: MultiscaleSpace
-    rows: np.ndarray | None  # of space.R_u that the coefficients hold
+    space: NestedSpace  # velocity
+    rows: np.ndarray | None  # of space.R that the coefficients hold
 
     def velocity_at(self, step: int) -> np.ndarray:
         """Fine-grid reconstruction; returns a cached array once steady."""
@@ -250,14 +212,14 @@ class CoarseFlowSolution:
         return self._fine[k]
 
     def reconstruct(self):
-        self._fine = [lift(self.space.R_u, self.rows, uH) for uH in self.coefficients]
+        self._fine = [lift(self.space.R, self.rows, uH) for uH in self.coefficients]
 
     @property
     def final_velocity(self) -> np.ndarray:
         return self._fine[-1]
 
 
-def solve_coarse_flow(space: MultiscaleSpace, cops: CoarseFlowOperators,
+def solve_coarse_flow(velocity: NestedSpace, cops: CoarseFlowOperators,
                       grid: TimeGrid,
                       steady_tol: float = STEADY_TOL) -> CoarseFlowSolution:
     """Implicit Euler on the reduced saddle system from rest; the constant
@@ -269,11 +231,11 @@ def solve_coarse_flow(space: MultiscaleSpace, cops: CoarseFlowOperators,
     K[:nU, :nU] = cops.M / tau + cops.A
     K[:nU, nU:] = cops.B.T
     K[nU:, :nU] = cops.B
-    lu = factor(K, f"coarse flow system at M_u={space.Mu}")
+    lu = factor(K, f"coarse flow system at M_u={cops.Mu}")
 
     uH = np.zeros(nU)
     sol = CoarseFlowSolution(coefficients=[uH], pressures=[np.zeros(nP)],
-                             steady_step=None, space=space, rows=cops.rows)
+                             steady_step=None, space=velocity, rows=cops.rows)
     for step in range(1, grid.n_steps + 1):
         x = lu_solve(lu, np.concatenate([cops.Fu + cops.M @ uH / tau, cops.Fp]))
         unew, p = x[:nU], x[nU:]
@@ -302,21 +264,22 @@ class CoarseTransportOperators:
     of each distinct velocity: its fine pattern cut into domain pairs."""
 
     dz: Discretization
-    space: MultiscaleSpace
+    space: NestedSpace  # concentration
     M: np.ndarray
     A: np.ndarray
     F: np.ndarray
-    m0: np.ndarray  # R_c M c0
+    m0: np.ndarray  # R M c0
     convection: PairPattern
 
 
-def project_transport(dz: Discretization, space: MultiscaleSpace,
+def project_transport(dz: Discretization, space: NestedSpace,
                       M: sp.spmatrix, A: sp.spmatrix, F_static: np.ndarray,
                       c0: np.ndarray) -> CoarseTransportOperators:
     """Project the fine M, A (both symmetric), F_static and initial state
-    onto `space.R_c`; every velocity source of a sweep shares the result."""
-    Rc, plan = space.R_c, dz.convection_plan()
-    blocks = DomainBlocks(Rc, np.repeat(space.partition.cell_to_domain, 3))
+    onto the concentration `space`; every velocity source of a sweep shares
+    the result."""
+    Rc, plan = space.R, dz.convection_plan()
+    blocks = DomainBlocks(space)
     pattern = sp.csr_matrix((np.zeros(len(plan.indices)), plan.indices, plan.indptr),
                             shape=(Rc.shape[1], Rc.shape[1]))
     return CoarseTransportOperators(
@@ -334,9 +297,9 @@ class _NestedRun:
 
     def __init__(self, cops: CoarseTransportOperators, Mc: int | None):
         self.Mc = Mc
-        self.Rc = cops.space.R_c
+        self.Rc = cops.space.R
         self.ix = (np.arange(self.Rc.shape[0]) if Mc is None
-                   else cops.space.concentration_space.rows(Mc))
+                   else cops.space.rows(Mc))
         self.sub = np.ix_(self.ix, self.ix)
         self.mass = cops.M[self.sub]
         self.cH = lu_solve(self.factor(cops.M, "mass matrix"), cops.m0[self.ix])
@@ -380,7 +343,7 @@ def solve_coarse_transport(cops: CoarseTransportOperators, velocity_at, c_in,
             if u is not None:
                 C, Fc = assemble_convection(cops.dz, u, c_in)
                 K = K + cops.convection.project(C)
-                F = F + np.asarray(cops.space.R_c @ Fc)
+                F = F + np.asarray(cops.space.R @ Fc)
                 del C, Fc  # no two fine convection matrices alive at once
             for run in list(runs):
                 try:

@@ -33,22 +33,6 @@ class DofMaps:
     def n_concentration(self) -> int:
         return 3 * self.n_cells
 
-    @property
-    def n_flow(self) -> int:
-        # velocity + pressure block, N_cell * (d(d+1)+1) with d=2
-        return self.n_velocity + self.n_pressure
-
-    def velocity_dofs(self, cell: int) -> np.ndarray:
-        return 6 * cell + np.arange(6)
-
-    def concentration_dofs(self, cell: int) -> np.ndarray:
-        return 3 * cell + np.arange(3)
-
-
-def dof_counts(n_cells: int, d: int = 2) -> tuple[int, int]:
-    """(flow, concentration) fine dof counts for an n_cells mesh in dimension d."""
-    return n_cells * (d * (d + 1) + 1), n_cells * (d + 1)
-
 
 # reference triangle {(x,y): x,y >= 0, x+y <= 1}, barycentric rules
 _TRI_RULES = {

@@ -98,14 +98,6 @@ def _check_residual(K, x, rhs, system: str):
                            f"{res:.3e} > {RESIDUAL_TOL:g}")
 
 
-def solve_steady_flow(dz: Discretization, ops: FlowOperators):
-    """Direct steady solve (no mass term); returns (u, p)."""
-    nU = dz.dofs.n_velocity
-    K = sp.bmat([[ops.A, ops.B.T], [ops.B, None]], format="csc")
-    x = splu(K).solve(np.concatenate([ops.Fu, ops.Fp]))
-    return x[:nU], x[nU:]
-
-
 @dataclass
 class TransportSolution:
     times: np.ndarray

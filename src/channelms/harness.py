@@ -18,9 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import Discretization, assemble_flow, assemble_transport
-from .coarse_solver import (build_multiscale_space, project_flow,
-                            project_transport, solve_coarse_flow,
-                            solve_coarse_transport)
+from .coarse_solver import (pressure_space, project_flow, project_transport,
+                            solve_coarse_flow, solve_coarse_transport)
 from .errors import concentration_error, velocity_error
 from .fine_solver import (TimeGrid, constant_concentration, solve_flow,
                           solve_transport)
@@ -328,16 +327,14 @@ def run_offline_phase(cfg: ExperimentConfig, fine: FinePhase,
     vs = build_velocity_space(dz, partition, cfg.velocity_type,
                               cfg.mu_list[-1], cfg.mu, cfg.gamma_u,
                               threads=cfg.threads)
-    cops_max = project_flow(build_multiscale_space(dz, partition, vs),
-                            fine.flow_ops)
+    cops_max = project_flow(vs, pressure_space(partition), fine.flow_ops)
     _dump_eigen(cfg, "eigen_u.csv", vs.eigen_rows)
     flows = {}
     for Mu in cfg.mu_list:
         _check_dof("velocity", Mu, vs.reported_dof(Mu),
                    expected_flow_dof(cfg.velocity_type, cfg.n_domains, Mu))
         try:
-            cf = solve_coarse_flow(build_multiscale_space(dz, partition, vs, Mu=Mu),
-                                   cops_max.restrict(vs.rows(Mu)), grid)
+            cf = solve_coarse_flow(vs, cops_max.restrict(Mu, vs.rows(Mu)), grid)
             flows[Mu] = (cf, velocity_error(dz, cf.final_velocity, u_ref))
         except np.linalg.LinAlgError as exc:  # fails the rows of this M_u only
             flows[Mu] = (exc, None)
@@ -370,7 +367,7 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     timings = {}
     t_start = time.perf_counter()
     fine = run_fine_phase(cfg, timings)
-    dz, partition, grid = fine.dz, fine.partition, fine.grid
+    dz, grid = fine.dz, fine.grid
     report = ErrorReport(config=cfg, fine_dof_u=dz.dofs.n_velocity + dz.dofs.n_pressure,
                          fine_dof_c=dz.dofs.n_concentration, fine_hash=fine.hash,
                          timings=timings)
@@ -386,10 +383,9 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     else:
         sources = [((Mu,), cf.velocity_at) for Mu, (cf, _) in offline.flows.items()
                    if not isinstance(cf, Exception)]
-    space_c = build_multiscale_space(dz, partition, offline.velocity,
-                                     offline.concentration)
     tops = fine.transport_ops
-    cops = project_transport(dz, space_c, tops.M, tops.A, tops.F, fine.c0)
+    cops = project_transport(dz, offline.concentration, tops.M, tops.A, tops.F,
+                             fine.c0)
     served = sum(len(mus) for mus, _ in sources) * len(cfg.mc_list)
     projection_share = (time.perf_counter() - t0) / max(served, 1)
     outcomes = {}  # (Mu, Mc) -> (final field or error, e_c, seconds)

@@ -1,11 +1,14 @@
 """Shared helpers for solver verification studies."""
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.sparse.linalg import spsolve
 
 from channelms.assembly import Discretization, assemble_transport
 from channelms.dgspace import p1_values, quadrature
 from channelms.mesh import ChannelParams, generate_channel
+from channelms.spectral import ModeBlock, NestedSpace
 
 WIDTH = 0.2  # manufactured-solution channel width (length 1.0)
 
@@ -18,6 +21,32 @@ def assert_rows_close(got, want, rtol=1e-12):
     got, want = got.toarray(), want.toarray()
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def identity_space(name, partition, per_cell):
+    """One identity block per domain on the dofs of its cells (per_cell
+    dofs each): R is a row permutation of the identity."""
+    blocks = []
+    for d in range(partition.n_domains):
+        cells = partition.domain_cells(d)
+        dofs = (per_cell * cells[:, None] + np.arange(per_cell)).ravel()
+        blocks.append(ModeBlock(domain=d, label="identity",
+                                eigenvalues=np.zeros(0),
+                                vectors=np.eye(len(dofs)), dofs=dofs))
+    return NestedSpace.stack(name, blocks,
+                             per_cell * len(partition.cell_to_domain))
+
+
+def zero_mode(space, k):
+    """The space with mode k of its first block zeroed: every size that keeps
+    that mode is exactly singular (LU leaves a zero row zero, so its pivot is
+    exactly 0), and the smaller sizes are untouched."""
+    b = space.blocks[0]
+    vectors = b.vectors.copy()
+    vectors[k] = 0.0
+    blocks = [replace(b, vectors=vectors), *space.blocks[1:]]
+    return NestedSpace.stack(space.name, blocks, space.R.shape[1],
+                             space.extra_dof)
 
 
 def _c_exact(x):

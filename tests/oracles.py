@@ -563,7 +563,7 @@ def per_row_sweep(cfg):
     """{(M_u, M_c): (e_u, e_c by report key)} with every row solved on its
     own, from the same fine reference and nested spaces as the harness."""
     from channelms import harness
-    from channelms.coarse_solver import pressure_indicators
+    from channelms.coarse_solver import pressure_space
     from channelms.errors import concentration_error, velocity_error
     from channelms.fine_solver import STEADY_TOL
     from channelms.transport_basis import build_concentration_space
@@ -571,7 +571,7 @@ def per_row_sweep(cfg):
 
     fine = harness.run_fine_phase(cfg)
     dz, grid = fine.dz, fine.grid
-    Rp = pressure_indicators(dz, fine.partition)
+    Rp = pressure_space(fine.partition).R
     vs_max = build_velocity_space(dz, fine.partition, cfg.velocity_type,
                                   cfg.mu_list[-1], cfg.mu, cfg.gamma_u)
     flows, e_u = {}, {}

@@ -22,7 +22,7 @@ from channelms.assembly import (DATA_PENALTY, Discretization, LocalDomain,
                                 assemble_transport, assemble_local_stokes,
                                 local_diffusion_with_bc, scalar_mass)
 from channelms.cli import load_preset
-from channelms.coarse_solver import (build_multiscale_space, project_flow,
+from channelms.coarse_solver import (pressure_space, project_flow,
                                      project_transport, solve_coarse_flow,
                                      solve_coarse_transport)
 from channelms.errors import concentration_error, velocity_error
@@ -154,10 +154,9 @@ def test_criterion_4_full_space_reproduction():
     vs = build_velocity_space(dz, part, "type2", None, cfg.mu, cfg.gamma_u)
     cs = build_concentration_space(dz, part, "type2", None, "rbc", "elliptic",
                                    cfg.diffusion, cfg.alpha, cfg.gamma_c)
-    space = build_multiscale_space(dz, part, vs, cs)
-    cf = solve_coarse_flow(space, project_flow(space, fops), grid)
+    cf = solve_coarse_flow(vs, project_flow(vs, pressure_space(part), fops), grid)
     (ct,) = solve_coarse_transport(
-        project_transport(dz, space, tops.M, tops.A, tops.F, c0),
+        project_transport(dz, cs, tops.M, tops.A, tops.F, c0),
         flow.velocity_at, cfg.c_in, grid)
     e_u = velocity_error(dz, cf.final_velocity, flow.velocity_at(grid.n_steps))
     e_c = concentration_error(dz, ct.final, fine.final)

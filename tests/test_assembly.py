@@ -1,6 +1,8 @@
 """Entry-wise comparison of every assembled operator against the dense
 brute-force oracle, plus structural operator invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -87,21 +89,30 @@ def test_convection_matches_entrywise_assembly(flip_seed, rng):
     assert dz.convection_plan() is dz.convection_plan()  # built once
 
 
+def _own_copy(mesh):
+    """The mesh with its own facet markers and its own Discretization, so
+    that closing it leaves the shared fixtures and their caches alone."""
+    mesh = replace(mesh, facet_marker=mesh.facet_marker.copy())
+    return mesh, Discretization.from_mesh(mesh)
+
+
+def _close(mesh):
+    mesh.facet_marker[mesh.facet_marker != FacetMarker.INTERIOR] = FacetMarker.WALL
+
+
 def test_convection_plan_follows_facet_markers(small_mesh, rng):
     # a plan is built for the facet markers it sees, and rebuilt when they
     # change: closing the channel drops the inflow and outflow terms
-    dz = Discretization.from_mesh(small_mesh)
+    mesh, dz = _own_copy(small_mesh)
     u_h = rng.standard_normal(dz.dofs.n_velocity)
     open_plan = dz.convection_plan()
-    marker = small_mesh.facet_marker.copy()
-    small_mesh.facet_marker[marker != FacetMarker.INTERIOR] = FacetMarker.WALL
-    try:
-        closed, _ = assemble_convection(dz, u_h, 0.0)
-        ref, _ = oracles.assemble_convection(dz, u_h, 0.0)
-        assert _diff(closed, ref.toarray()) <= 1e-13 * np.abs(ref).max()
-        assert dz.convection_plan() is not open_plan
-    finally:
-        small_mesh.facet_marker[:] = marker
+    marker = mesh.facet_marker.copy()
+    _close(mesh)
+    closed, _ = assemble_convection(dz, u_h, 0.0)
+    ref, _ = oracles.assemble_convection(dz, u_h, 0.0)
+    assert _diff(closed, ref.toarray()) <= 1e-13 * np.abs(ref).max()
+    assert dz.convection_plan() is not open_plan
+    mesh.facet_marker[:] = marker
     assert len(dz.convection_plan().onesided) == len(open_plan.onesided)
 
 
@@ -191,22 +202,17 @@ def test_flow_viscous_symmetric_positive(small_dz):
     assert lo > 0  # positive definite for the penalty in use
 
 
-def test_convection_conserves_mass_against_test_constant(small_dz, rng):
+def test_convection_conserves_mass_against_test_constant(small_mesh, rng):
     # 1^T C c = boundary upwind bookkeeping only; with every boundary facet a
     # wall the convection operator has exactly zero column sums
-    mesh = small_dz.mesh
-    from channelms.mesh import FacetMarker
-    marker = mesh.facet_marker.copy()
-    mesh.facet_marker[mesh.facet_marker != FacetMarker.INTERIOR] = FacetMarker.WALL
-    try:
-        u_h = rng.standard_normal(small_dz.dofs.n_velocity)
-        C, F = assemble_convection(small_dz, u_h, c_in=0.0)
-        ones = np.ones(small_dz.dofs.n_concentration)
-        c = rng.standard_normal(small_dz.dofs.n_concentration)
-        assert abs(ones @ (C @ c)) < 1e-10 * abs(C).max() * np.linalg.norm(c)
-        assert np.all(F == 0.0)
-    finally:
-        mesh.facet_marker[:] = marker
+    mesh, dz = _own_copy(small_mesh)
+    _close(mesh)
+    u_h = rng.standard_normal(dz.dofs.n_velocity)
+    C, F = assemble_convection(dz, u_h, c_in=0.0)
+    ones = np.ones(dz.dofs.n_concentration)
+    c = rng.standard_normal(dz.dofs.n_concentration)
+    assert abs(ones @ (C @ c)) < 1e-10 * abs(C).max() * np.linalg.norm(c)
+    assert np.all(F == 0.0)
 
 
 def test_expand_to_vector_layout(rng):

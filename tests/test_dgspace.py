@@ -6,8 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from channelms.dgspace import (CellGeometry, DofMaps, FacetGeometry,
-                               dof_counts, facet_points_xy, p1_values,
-                               quadrature)
+                               facet_points_xy, p1_values, quadrature)
 
 
 def _exact_tri(a, b):
@@ -49,10 +48,6 @@ def test_dof_maps():
     assert dofs.n_velocity == 42
     assert dofs.n_pressure == 7
     assert dofs.n_concentration == 21
-    assert dofs.n_flow == 49
-    assert np.array_equal(dofs.velocity_dofs(2), np.arange(12, 18))
-    assert np.array_equal(dofs.concentration_dofs(2), np.arange(6, 9))
-    assert dof_counts(7) == (49, 21)
 
 
 def test_cell_geometry_matches_mesh(small_mesh):

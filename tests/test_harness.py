@@ -1,20 +1,18 @@
 """Experiment driver: config IO, inflow data, error metric, sweep outputs."""
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from channelms import cli, harness, transport_basis
 from channelms.errors import concentration_error, relative_l2_error
 from channelms.harness import (CSV_HEADER, ExperimentConfig, inflow_profile,
                                load_config, run_experiment, save_config)
-from channelms.spectral import NestedSpace
 
 import oracles
+from helpers import zero_mode
 
 
 def _tiny_cfg(**kw):
@@ -175,31 +173,26 @@ def _check_vtk(path):
 
 
 def test_failed_row_recorded_without_aborting(monkeypatch):
-    # the shared projection gets a zero row that only the M_c=1 space keeps
+    # the shared projection gets a zeroed second mode that only the M_c=2
+    # space keeps
     calls = {"n": 0}
     orig = harness.project_transport
 
-    def singular_at_mc1(dz, space, *args, **kw):
+    def singular_at_mc2(dz, space, *args, **kw):
         calls["n"] += 1
-        n, rows = space.R_c.shape[0], space.concentration_space.rows
-        R_c = sp.vstack([space.R_c, sp.csr_matrix((1, space.R_c.shape[1]))],
-                        format="csr")
-        nested = SimpleNamespace(
-            rows=lambda M: np.append(rows(M), n) if M == 1 else rows(M))
-        return orig(dz, replace(space, R_c=R_c, concentration_space=nested),
-                    *args, **kw)
+        return orig(dz, zero_mode(space, 1), *args, **kw)
 
-    monkeypatch.setattr(harness, "project_transport", singular_at_mc1)
+    monkeypatch.setattr(harness, "project_transport", singular_at_mc2)
     report = run_experiment(_tiny_cfg())
     assert calls["n"] == 1  # one shared projection serves both M_c
     by_mc = {row["Mc"]: row for row in report.rows}
-    assert by_mc[1]["error"].startswith(
-        "LinAlgError: singular coarse transport mass matrix at M_c=1")
-    assert "error" not in by_mc[2] and by_mc[2]["e_c"]
+    assert by_mc[2]["error"].startswith(
+        "LinAlgError: singular coarse transport mass matrix at M_c=2")
+    assert "error" not in by_mc[1] and by_mc[1]["e_c"]
     lines = report.to_csv().splitlines()
-    assert lines[1].split(",")[7:11] == ["nan"] * 4
-    assert "M_c=1" in lines[1].split(",")[-2]
-    assert lines[2].split(",")[-2] == ""
+    assert lines[2].split(",")[7:11] == ["nan"] * 4
+    assert "M_c=2" in lines[2].split(",")[-2]
+    assert lines[1].split(",")[-2] == ""
 
 
 def test_coarse_flows_lift_through_the_whole_velocity_space():
@@ -209,7 +202,7 @@ def test_coarse_flows_lift_through_the_whole_velocity_space():
     offline = harness.run_offline_phase(cfg, harness.run_fine_phase(cfg))
     vs = offline.velocity
     for Mu, (cf, _) in offline.flows.items():
-        assert cf.space.R_u is vs.R
+        assert cf.space is vs
         R = vs.R[vs.rows(Mu)]
         assert R.shape[0] < vs.R.shape[0] or Mu == 3
         for step, uH in enumerate(cf.coefficients):
@@ -221,14 +214,8 @@ def test_singular_flow_fails_only_its_rows(monkeypatch, velocity):
     # a zero second mode on domain 0 makes M_u=2 exactly singular; the nested
     # M_u=1 space does not hold it
     orig = harness.build_velocity_space
-
-    def zero_second_mode(*args, **kw):
-        vs = orig(*args, **kw)
-        b = vs.blocks[0]
-        blocks = [replace(b, vectors=b.vectors * [[1.0], [0.0]]), *vs.blocks[1:]]
-        return NestedSpace.stack(vs.name, blocks, vs.R.shape[1], vs.extra_dof)
-
-    monkeypatch.setattr(harness, "build_velocity_space", zero_second_mode)
+    monkeypatch.setattr(harness, "build_velocity_space",
+                        lambda *args, **kw: zero_mode(orig(*args, **kw), 1))
     report = run_experiment(_tiny_cfg(mu_list=(1, 2), mc_list=(1,),
                                       transport_velocity=velocity))
     by_mu = {row["Mu"]: row for row in report.rows}
