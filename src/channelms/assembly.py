@@ -649,14 +649,13 @@ def _restrict(mat: sp.spmatrix, rows: np.ndarray, cols: np.ndarray) -> sp.csr_ma
     return mat.tocsr()[rows, :][:, cols]
 
 
-def assemble_local_velocity_forms(dz: Discretization, partition: CoarsePartition,
-                                  i: int, mu: float, gamma_u: float):
-    """(A, S) for the velocity spectral problem on domain i.
+def assemble_local_velocity_forms(dz: Discretization, dom: LocalDomain,
+                                  mu: float, gamma_u: float):
+    """(A, S) for the velocity spectral problem on a local domain.
 
     A is the local DG viscous form with interior-facet terms only; S is the
     facet mass over the local boundary.  Both live on local velocity dofs.
     """
-    dom = LocalDomain.build(dz.mesh, partition, i)
     A_s = _local_scalar_interior_form(dz, dom, mu, gamma_u)
     S_s = _local_scalar_boundary_mass(dz, dom)
     sd = dom.scalar_dofs()
@@ -665,10 +664,10 @@ def assemble_local_velocity_forms(dz: Discretization, partition: CoarsePartition
     return A, S
 
 
-def assemble_local_concentration_forms(dz: Discretization, partition: CoarsePartition,
-                                       i: int, D: float, gamma_c: float):
-    """(A, S) for the concentration spectral problem on domain i (scalar)."""
-    dom = LocalDomain.build(dz.mesh, partition, i)
+def assemble_local_concentration_forms(dz: Discretization, dom: LocalDomain,
+                                       D: float, gamma_c: float):
+    """(A, S) for the concentration spectral problem on a local domain
+    (scalar)."""
     A_s = _local_scalar_interior_form(dz, dom, D, gamma_c)
     S_s = _local_scalar_boundary_mass(dz, dom)
     sd = dom.scalar_dofs()
@@ -697,6 +696,23 @@ def _local_scalar_boundary_mass(dz: Discretization, dom: LocalDomain) -> sp.csr_
 # ---------------------------------------------------------------------------
 # local snapshot systems (facet data given as per-quad-point value arrays)
 # ---------------------------------------------------------------------------
+
+def hat_traces(dz: Discretization, fids: np.ndarray):
+    """Hat-function data per boundary trace node on the given facets.
+
+    Returns (nodes, gvals) with gvals of shape (n_nodes, n_facets, nq): the
+    trace of the hat centered at each node along each facet.
+    """
+    t = dz.quad.facet_points
+    pairs = dz.mesh.facets[fids]  # (nF, 2)
+    nodes = np.unique(pairs)
+    gvals = np.zeros((len(nodes), len(fids), len(t)))
+    pos = {n: k for k, n in enumerate(nodes)}
+    for j, (a, b) in enumerate(pairs):
+        gvals[pos[a], j] = 1.0 - t
+        gvals[pos[b], j] = t
+    return nodes, gvals
+
 
 def nitsche_rhs_values(dz: Discretization, fids, sides, signs, coeff, gamma,
                        gvals) -> np.ndarray:

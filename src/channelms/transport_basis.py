@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,11 +20,11 @@ from scipy.sparse.linalg import splu
 
 from .assembly import (Discretization, LocalDomain,
                        assemble_local_concentration_forms, facet_rhs_values,
-                       local_diffusion_with_bc, local_upwind_convection,
-                       nitsche_rhs_values, scalar_mass, upwind_boundary_rhs)
+                       hat_traces, local_diffusion_with_bc,
+                       local_upwind_convection, nitsche_rhs_values,
+                       scalar_mass, upwind_boundary_rhs)
 from .mesh import CoarsePartition
 from .spectral import ModeBlock, NestedSpace, spectral_reduce
-from .velocity_basis import _boundary_node_data
 
 log = logging.getLogger(__name__)
 
@@ -33,24 +32,11 @@ FAMILIES = ("interface", "wall", "pooled")
 VARIANTS = ("elliptic", "timevelocity")
 
 
-@dataclass
-class ConcentrationSnapshotSet:
-    domain: int
-    family: str  # "interface" | "wall" | "pooled"
-    nodes: np.ndarray
-    snapshots: np.ndarray  # (n_snap, local scalar dofs)
-    local: LocalDomain
-
-
-def _check_args(family, bc_kind, variant, u_ms, tau):
-    if family not in FAMILIES:
-        raise ValueError(f"unknown snapshot family {family!r}")
-    if bc_kind not in ("dbc", "nbc", "rbc"):
-        raise ValueError(f"unknown wall boundary condition {bc_kind!r}")
+def _check_variant(variant, u_ms, tau):
     if variant not in VARIANTS:
         raise ValueError(f"unknown snapshot variant {variant!r}")
     if variant == "timevelocity" and (u_ms is None or tau is None):
-        raise ValueError("timevelocity snapshots need a velocity and a time step")
+        raise ValueError("timevelocity needs a velocity and a time step")
 
 
 def _local_operator(dz, dom, D, gamma_c, dirichlet_fids, robin_fids, alpha,
@@ -77,15 +63,18 @@ def _solve_local(A, rhs, M_loc=None):
     return splu(K).solve(aug)[:-1]
 
 
-def concentration_snapshots(dz: Discretization, partition: CoarsePartition,
-                            i: int, family: str, bc_kind: str, variant: str,
-                            D: float, alpha: float, gamma_c: float,
-                            u_ms=None, tau=None) -> ConcentrationSnapshotSet:
+def concentration_snapshots(dz: Discretization, dom: LocalDomain, family: str,
+                            bc_kind: str, variant: str, D: float, alpha: float,
+                            gamma_c: float, u_ms=None, tau=None) -> np.ndarray:
     """Solve the local transport problems for every boundary trace node of the
-    family's data boundary."""
-    _check_args(family, bc_kind, variant, u_ms, tau)
+    family's data boundary.  Returns (n_snap, local scalar dofs), ordered by
+    boundary node; a wall family on a domain without walls has no rows."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown snapshot family {family!r}")
+    if bc_kind not in ("dbc", "nbc", "rbc"):
+        raise ValueError(f"unknown wall boundary condition {bc_kind!r}")
+    _check_variant(variant, u_ms, tau)
     mesh = dz.mesh
-    dom = LocalDomain.build(mesh, partition, i)
     sd = dom.scalar_dofs()
     n_loc = len(sd)
     ge, gw = dom.gamma_e, dom.gamma_w
@@ -96,9 +85,8 @@ def concentration_snapshots(dz: Discretization, partition: CoarsePartition,
         robin = gw if bc_kind == "rbc" else np.array([], dtype=int)
     elif family == "wall":
         if len(gw) == 0:
-            return ConcentrationSnapshotSet(domain=i, family=family,
-                                            nodes=np.array([], dtype=int),
-                                            snapshots=np.zeros((0, n_loc)), local=dom)
+            log.warning("domain %d has no wall facets; wall family empty", dom.index)
+            return np.zeros((0, n_loc))
         data_fids, nitsche_data = gw, bc_kind == "dbc"
         dirichlet = gw if bc_kind == "dbc" else np.array([], dtype=int)
         robin = gw if bc_kind == "rbc" else np.array([], dtype=int)
@@ -108,7 +96,8 @@ def concentration_snapshots(dz: Discretization, partition: CoarsePartition,
         robin = np.array([], dtype=int)
 
     if len(data_fids) == 0:
-        raise ValueError(f"domain {i} has no data boundary for family {family!r}")
+        raise ValueError(f"domain {dom.index} has no data boundary for family "
+                         f"{family!r}")
 
     A = _local_operator(dz, dom, D, gamma_c, dirichlet, robin, alpha,
                         variant, u_ms, tau)
@@ -116,7 +105,7 @@ def concentration_snapshots(dz: Discretization, partition: CoarsePartition,
                 and (len(robin) == 0 or alpha == 0.0))
     M_loc = scalar_mass(dz)[sd, :][:, sd] if singular else None
 
-    nodes, gvals = _boundary_node_data(dz, data_fids)
+    nodes, gvals = hat_traces(dz, data_fids)
     sides, signs = dom.inside_side(mesh, data_fids)
     rhs = np.zeros((n_loc, len(nodes)))
     for l in range(len(nodes)):
@@ -133,44 +122,34 @@ def concentration_snapshots(dz: Discretization, partition: CoarsePartition,
             F = facet_rhs_values(dz, data_fids, sides, gvals[l], coeff=alpha)
         rhs[:, l] = F[sd]
 
-    snaps = _solve_local(A, rhs, M_loc).T
-    return ConcentrationSnapshotSet(domain=i, family=family, nodes=nodes,
-                                    snapshots=snaps, local=dom)
+    return _solve_local(A, rhs, M_loc).T
 
 
-def spectral_reduce_concentration(dz: Discretization, partition: CoarsePartition,
-                                  snapshots: ConcentrationSnapshotSet,
-                                  M: int | None, D: float, gamma_c: float,
-                                  forms=None) -> ModeBlock:
-    """Diffusion-only eigenproblem selecting the M dominant snapshot modes
-    (every mode up to the Gram rank when M is None).  `forms` reuses the
-    domain's (A, S).  A family without snapshots gives an empty block."""
-    if forms is None:
-        forms = assemble_local_concentration_forms(dz, partition,
-                                                   snapshots.domain, D, gamma_c)
-    dofs = snapshots.local.scalar_dofs()
-    if len(snapshots.snapshots) == 0:
+def spectral_reduce_concentration(dom: LocalDomain, label: str,
+                                  snapshots: np.ndarray, forms,
+                                  M: int | None) -> ModeBlock:
+    """Diffusion-only eigenproblem selecting the M dominant modes of one
+    family's snapshots (every mode up to the Gram rank when M is None), with
+    the domain's forms (A, S).  A family without snapshots gives an empty
+    block."""
+    dofs = dom.scalar_dofs()
+    if len(snapshots) == 0:
         eigenvalues, vectors = np.zeros(0), np.zeros((0, len(dofs)))
     else:
         try:
-            basis = spectral_reduce(snapshots.snapshots, *forms, M)
+            basis = spectral_reduce(snapshots, *forms, M)
         except ValueError as exc:
-            raise ValueError(f"concentration basis on domain {snapshots.domain} "
-                             f"({snapshots.family} family), M={M}: {exc}") from exc
+            raise ValueError(f"concentration basis on domain {dom.index} "
+                             f"({label} family), M={M}: {exc}") from exc
         eigenvalues, vectors = basis.eigenvalues, basis.vectors
-    return ModeBlock(domain=snapshots.domain, label=snapshots.family,
-                     eigenvalues=eigenvalues, vectors=vectors, dofs=dofs)
+    return ModeBlock(domain=dom.index, label=label, eigenvalues=eigenvalues,
+                     vectors=vectors, dofs=dofs)
 
 
-def interior_basis(dz: Discretization, partition: CoarsePartition, i: int,
-                   variant: str, D: float, gamma_c: float,
-                   u_ms=None, tau=None) -> np.ndarray:
+def interior_basis(dz: Discretization, dom: LocalDomain, variant: str,
+                   D: float, gamma_c: float, u_ms=None, tau=None) -> np.ndarray:
     """Per-domain bubble: zero Dirichlet trace, unit source, unit L2 norm."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown snapshot variant {variant!r}")
-    if variant == "timevelocity" and (u_ms is None or tau is None):
-        raise ValueError("timevelocity bubble needs a velocity and a time step")
-    dom = LocalDomain.build(dz.mesh, partition, i)
+    _check_variant(variant, u_ms, tau)
     sd = dom.scalar_dofs()
     bd = dom.boundary()
     A = _local_operator(dz, dom, D, gamma_c, bd, np.array([], dtype=int), 0.0,
@@ -191,32 +170,31 @@ def build_concentration_space(dz: Discretization, partition: CoarsePartition,
                               gamma_c: float, u_ms=None, tau=None,
                               threads: int = 1) -> NestedSpace:
     """Assemble per-domain concentration bases into projection rows: each
-    domain's family modes followed by its bubble."""
+    domain's family modes followed by its bubble.  One job per domain builds
+    its local domain and assembles its spectral forms once for all of its
+    families."""
     kind = kind.lower()
     if kind not in ("type1", "type2"):
         raise ValueError(f"unknown concentration space kind {kind!r}")
     families = ["pooled"] if kind == "type1" else ["interface", "wall"]
 
     def run(i):
-        forms = assemble_local_concentration_forms(dz, partition, i, D, gamma_c)
+        dom = LocalDomain.build(dz.mesh, partition, i)
+        forms = assemble_local_concentration_forms(dz, dom, D, gamma_c)
         blocks = []
         for fam in families:
-            snaps = concentration_snapshots(dz, partition, i, fam, bc_kind,
-                                            variant, D, alpha, gamma_c, u_ms, tau)
-            if len(snaps.snapshots) == 0:
-                log.warning("domain %d has no wall facets; wall family empty", i)
-            blocks.append(spectral_reduce_concentration(dz, partition, snaps,
-                                                        M, D, gamma_c, forms))
-        bubble = interior_basis(dz, partition, i, variant, D, gamma_c, u_ms, tau)
+            snaps = concentration_snapshots(dz, dom, fam, bc_kind, variant, D,
+                                            alpha, gamma_c, u_ms, tau)
+            blocks.append(spectral_reduce_concentration(dom, fam, snaps,
+                                                        forms, M))
+        bubble = interior_basis(dz, dom, variant, D, gamma_c, u_ms, tau)
         blocks.append(ModeBlock(domain=i, label="bubble", eigenvalues=np.zeros(0),
-                                vectors=bubble[None, :], dofs=blocks[0].dofs))
+                                vectors=bubble[None, :], dofs=dom.scalar_dofs()))
         return blocks
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            per_domain = list(ex.map(run, range(partition.n_domains)))
-    else:
-        per_domain = [run(i) for i in range(partition.n_domains)]
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        run_all = ex.map if threads > 1 else map  # as in build_velocity_space
+        per_domain = list(run_all(run, range(partition.n_domains)))
     return NestedSpace.stack("concentration", [b for bs in per_domain for b in bs],
                              dz.dofs.n_concentration)
 

@@ -7,7 +7,7 @@ from scipy.sparse.linalg import spsolve
 
 from channelms.assembly import Discretization, assemble_transport
 from channelms.dgspace import p1_values, quadrature
-from channelms.mesh import ChannelParams, generate_channel
+from channelms.mesh import ChannelParams, FacetMarker, generate_channel
 from channelms.spectral import ModeBlock, NestedSpace
 
 WIDTH = 0.2  # manufactured-solution channel width (length 1.0)
@@ -21,6 +21,15 @@ def assert_rows_close(got, want, rtol=1e-12):
     got, want = got.toarray(), want.toarray()
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def closed_copy(mesh):
+    """The Discretization of a copy of mesh with every boundary facet a wall.
+    The copy has its own facet markers and its own Discretization, so that
+    closing it leaves the shared fixtures and their caches alone."""
+    mesh = replace(mesh, facet_marker=mesh.facet_marker.copy())
+    mesh.facet_marker[mesh.facet_marker != FacetMarker.INTERIOR] = FacetMarker.WALL
+    return Discretization.from_mesh(mesh)
 
 
 def identity_space(name, partition, per_cell):

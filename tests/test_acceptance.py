@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 import oracles
-from helpers import (CRITERION_LINES, final_errors,
+from helpers import (CRITERION_LINES, closed_copy, final_errors,
                      manufactured_transport_error, trend_ok, velocity_errors)
 
 from channelms.assembly import (DATA_PENALTY, Discretization, LocalDomain,
@@ -20,7 +20,7 @@ from channelms.assembly import (DATA_PENALTY, Discretization, LocalDomain,
                                 assemble_local_concentration_forms,
                                 assemble_local_velocity_forms,
                                 assemble_transport, assemble_local_stokes,
-                                local_diffusion_with_bc, scalar_mass)
+                                local_diffusion_with_bc)
 from channelms.cli import load_preset
 from channelms.coarse_solver import (pressure_space, project_flow,
                                      project_transport, solve_coarse_flow,
@@ -29,13 +29,12 @@ from channelms.errors import concentration_error, velocity_error
 from channelms.fine_solver import (TimeGrid, constant_concentration,
                                    solve_flow, solve_transport)
 from channelms.harness import ExperimentConfig, inflow_profile, run_experiment
-from channelms.mesh import (ChannelParams, FacetMarker, generate_channel,
-                            partition_coarse)
+from channelms.mesh import generate_channel, partition_coarse
 from channelms.transport_basis import (build_concentration_space,
                                        concentration_snapshots,
                                        expected_transport_dof)
 from channelms.velocity_basis import (build_velocity_space, expected_flow_dof,
-                                      velocity_snapshots)
+                                      local_stokes, velocity_snapshots)
 from test_spectral import check_spectral
 
 
@@ -112,12 +111,8 @@ def test_criterion_2_oracle_equivalence(tiny_dz, tiny_partition):
 # 3. closed-wall transport conserves total mass over the full horizon
 # --------------------------------------------------------------------------
 
-def test_criterion_3_closed_wall_conservation(rng):
-    mesh = generate_channel(ChannelParams(length=0.5, half_width=0.05,
-                                          target_cells=400))
-    boundary = mesh.facet_marker != FacetMarker.INTERIOR
-    mesh.facet_marker[boundary] = FacetMarker.WALL
-    dz = Discretization.from_mesh(mesh)
+def test_criterion_3_closed_wall_conservation(small_mesh, rng):
+    dz = closed_copy(small_mesh)
     ops = assemble_transport(dz, D=0.01, alpha=0.0, gamma_c=8.0,
                              wall_bc="nbc", wall_data=0.0, c_in=0.0, u_h=None)
     u_h = rng.standard_normal(dz.dofs.n_velocity)
@@ -223,16 +218,15 @@ def test_criterion_7_spectral_verification(small_dz, small_partition, tmp_path):
     detail = []
     ok = True
     try:
-        vsnap = velocity_snapshots(small_dz, small_partition, 1, 0, 1.0, 8.0)
-        A, S = assemble_local_velocity_forms(small_dz, small_partition, 1,
-                                             1.0, 8.0)
-        check_spectral(vsnap.snapshots, A.toarray(), S.toarray(), 5)
-        csnap = concentration_snapshots(small_dz, small_partition, 1,
-                                        "interface", "rbc", "elliptic",
-                                        0.05, 0.01, 8.0)
-        A, S = assemble_local_concentration_forms(small_dz, small_partition, 1,
-                                                  0.05, 8.0)
-        check_spectral(csnap.snapshots, A.toarray(), S.toarray(), 5)
+        dom = LocalDomain.build(small_dz.mesh, small_partition, 1)
+        vsnap = velocity_snapshots(small_dz, dom, 0, 1.0, 8.0,
+                                   local_stokes(small_dz, dom, 1.0, 8.0))
+        A, S = assemble_local_velocity_forms(small_dz, dom, 1.0, 8.0)
+        check_spectral(vsnap, A.toarray(), S.toarray(), 5)
+        csnap = concentration_snapshots(small_dz, dom, "interface", "rbc",
+                                        "elliptic", 0.05, 0.01, 8.0)
+        A, S = assemble_local_concentration_forms(small_dz, dom, 0.05, 8.0)
+        check_spectral(csnap, A.toarray(), S.toarray(), 5)
         detail.append("eigenpair residuals/orthonormality verified")
     except AssertionError as exc:
         ok = False

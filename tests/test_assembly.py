@@ -1,14 +1,13 @@
 """Entry-wise comparison of every assembled operator against the dense
 brute-force oracle, plus structural operator invariants."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 import oracles
+from helpers import closed_copy
 from channelms.assembly import (DATA_PENALTY, Discretization, LocalDomain,
                                 assemble_convection, assemble_flow,
                                 assemble_local_concentration_forms,
@@ -19,7 +18,7 @@ from channelms.assembly import (DATA_PENALTY, Discretization, LocalDomain,
                                 local_upwind_convection, scalar_mass,
                                 scalar_stiffness)
 from channelms.harness import inflow_profile, ExperimentConfig
-from channelms.mesh import ChannelParams, FacetMarker, generate_channel
+from channelms.mesh import ChannelParams, generate_channel
 
 TOL = 1e-12
 
@@ -89,37 +88,28 @@ def test_convection_matches_entrywise_assembly(flip_seed, rng):
     assert dz.convection_plan() is dz.convection_plan()  # built once
 
 
-def _own_copy(mesh):
-    """The mesh with its own facet markers and its own Discretization, so
-    that closing it leaves the shared fixtures and their caches alone."""
-    mesh = replace(mesh, facet_marker=mesh.facet_marker.copy())
-    return mesh, Discretization.from_mesh(mesh)
-
-
-def _close(mesh):
-    mesh.facet_marker[mesh.facet_marker != FacetMarker.INTERIOR] = FacetMarker.WALL
-
-
 def test_convection_plan_follows_facet_markers(small_mesh, rng):
     # a plan is built for the facet markers it sees, and rebuilt when they
     # change: closing the channel drops the inflow and outflow terms
-    mesh, dz = _own_copy(small_mesh)
+    dz = closed_copy(small_mesh)
+    mesh, closed_markers = dz.mesh, dz.mesh.facet_marker.copy()
     u_h = rng.standard_normal(dz.dofs.n_velocity)
+    mesh.facet_marker[:] = small_mesh.facet_marker  # open the copy
     open_plan = dz.convection_plan()
-    marker = mesh.facet_marker.copy()
-    _close(mesh)
+    mesh.facet_marker[:] = closed_markers
     closed, _ = assemble_convection(dz, u_h, 0.0)
     ref, _ = oracles.assemble_convection(dz, u_h, 0.0)
     assert _diff(closed, ref.toarray()) <= 1e-13 * np.abs(ref).max()
     assert dz.convection_plan() is not open_plan
-    mesh.facet_marker[:] = marker
+    mesh.facet_marker[:] = small_mesh.facet_marker
     assert len(dz.convection_plan().onesided) == len(open_plan.onesided)
 
 
 def test_local_concentration_forms_oracle(tiny_dz, md, tiny_partition):
     for i in range(tiny_partition.n_domains):
-        A, S = assemble_local_concentration_forms(tiny_dz, tiny_partition, i,
-                                                  D=0.4, gamma_c=8.0)
+        dom = LocalDomain.build(tiny_dz.mesh, tiny_partition, i)
+        A, S = assemble_local_concentration_forms(tiny_dz, dom, D=0.4,
+                                                  gamma_c=8.0)
         cells = tiny_partition.domain_cells(i)
         assert _diff(A, oracles.local_interior_form(md, cells, 0.4, 8.0)) < TOL
         assert _diff(S, oracles.local_boundary_mass(md, cells)) < TOL
@@ -127,8 +117,8 @@ def test_local_concentration_forms_oracle(tiny_dz, md, tiny_partition):
 
 def test_local_velocity_forms_oracle(tiny_dz, md, tiny_partition):
     for i in range(tiny_partition.n_domains):
-        A, S = assemble_local_velocity_forms(tiny_dz, tiny_partition, i,
-                                             mu=2.0, gamma_u=8.0)
+        dom = LocalDomain.build(tiny_dz.mesh, tiny_partition, i)
+        A, S = assemble_local_velocity_forms(tiny_dz, dom, mu=2.0, gamma_u=8.0)
         cells = tiny_partition.domain_cells(i)
         assert _diff(A, oracles.expand_vector(
             oracles.local_interior_form(md, cells, 2.0, 8.0))) < TOL
@@ -205,8 +195,7 @@ def test_flow_viscous_symmetric_positive(small_dz):
 def test_convection_conserves_mass_against_test_constant(small_mesh, rng):
     # 1^T C c = boundary upwind bookkeeping only; with every boundary facet a
     # wall the convection operator has exactly zero column sums
-    mesh, dz = _own_copy(small_mesh)
-    _close(mesh)
+    dz = closed_copy(small_mesh)
     u_h = rng.standard_normal(dz.dofs.n_velocity)
     C, F = assemble_convection(dz, u_h, c_in=0.0)
     ones = np.ones(dz.dofs.n_concentration)

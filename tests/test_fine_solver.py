@@ -14,9 +14,9 @@ from channelms.fine_solver import (TimeGrid, constant_concentration,
                                    solve_flow, solve_transport)
 from channelms.cli import load_preset, preset_names
 from channelms.harness import ExperimentConfig, inflow_profile
-from channelms.mesh import ChannelParams, FacetMarker, generate_channel
+from channelms.mesh import ChannelParams, generate_channel
 
-from helpers import manufactured_transport_error
+from helpers import closed_copy, manufactured_transport_error
 
 
 def test_time_grid():
@@ -36,7 +36,6 @@ def test_manufactured_convergence_order_two():
 
 
 def test_zero_inflow_gives_zero_flow(small_dz):
-    import warnings
     ops = assemble_flow(small_dz, mu=1.0, rho=1.0, gamma_u=8.0,
                         inflow=lambda x: np.zeros_like(np.asarray(x)))
     sol = solve_flow(small_dz, ops, TimeGrid(0.1, 5))
@@ -96,16 +95,8 @@ def test_constant_state_preserved(small_dz):
         assert np.abs(c - 1.0).max() < 1e-9
 
 
-def _closed_wall_mesh(n_cells=400):
-    mesh = generate_channel(ChannelParams(length=0.5, half_width=0.05,
-                                          target_cells=n_cells))
-    boundary = mesh.facet_marker != FacetMarker.INTERIOR
-    mesh.facet_marker[boundary] = FacetMarker.WALL
-    return mesh
-
-
-def test_closed_wall_mass_conservation(rng):
-    dz = Discretization.from_mesh(_closed_wall_mesh())
+def test_closed_wall_mass_conservation(small_mesh, rng):
+    dz = closed_copy(small_mesh)
     ops = assemble_transport(dz, D=0.01, alpha=0.0, gamma_c=8.0,
                              wall_bc="nbc", wall_data=0.0, c_in=0.0, u_h=None)
     M = ops.M
@@ -117,8 +108,8 @@ def test_closed_wall_mass_conservation(rng):
     assert abs(mass1 - mass0) <= 1e-8 * abs(mass0)
 
 
-def test_time_step_halving_first_order():
-    dz = Discretization.from_mesh(_closed_wall_mesh())
+def test_time_step_halving_first_order(small_mesh):
+    dz = closed_copy(small_mesh)
     ops = assemble_transport(dz, D=0.05, alpha=0.0, gamma_c=8.0,
                              wall_bc="nbc", wall_data=0.0, c_in=0.0, u_h=None)
     x = dz.mesh.nodes[dz.mesh.cells.reshape(-1), 0]
@@ -132,9 +123,9 @@ def test_time_step_halving_first_order():
 
 
 @pytest.mark.parametrize("c_w,direction", [(2.0, 1.0), (0.0, -1.0)])
-def test_robin_wall_flux_direction(c_w, direction):
+def test_robin_wall_flux_direction(small_mesh, c_w, direction):
     # alpha > 0 with wall data above (below) the state pushes mass in (out)
-    dz = Discretization.from_mesh(_closed_wall_mesh())
+    dz = closed_copy(small_mesh)
     ops = assemble_transport(dz, D=0.01, alpha=0.5, gamma_c=8.0,
                              wall_bc="rbc", wall_data=c_w, c_in=0.0, u_h=None)
     c0 = constant_concentration(dz, 1.0)

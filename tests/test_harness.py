@@ -227,11 +227,10 @@ def test_singular_flow_fails_only_its_rows(monkeypatch, velocity):
 def test_empty_wall_family_fails_the_dof_check(monkeypatch):
     orig = transport_basis.concentration_snapshots
 
-    def no_wall_on_domain_0(dz, partition, i, family, *args):
-        snaps = orig(dz, partition, i, family, *args)
-        if i == 0 and family == "wall":
-            snaps = replace(snaps, nodes=snaps.nodes[:0],
-                            snapshots=snaps.snapshots[:0])
+    def no_wall_on_domain_0(dz, dom, family, *args):
+        snaps = orig(dz, dom, family, *args)
+        if dom.index == 0 and family == "wall":
+            snaps = snaps[:0]
         return snaps
 
     monkeypatch.setattr(transport_basis, "concentration_snapshots",

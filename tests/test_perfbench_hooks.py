@@ -1,5 +1,6 @@
-"""Every layer hook and thread pool of the benchmark tracer resolves, and the
-hooks of the online layers fire in a reduced-velocity sweep."""
+"""Every layer hook and thread pool of the benchmark tracer resolves, the
+hooks of the online layers fire in a reduced-velocity sweep, and the hooks of
+the offline layers fire in a pooled basis build."""
 
 import importlib.util
 import sys
@@ -47,3 +48,33 @@ def test_online_hooks_fire_in_a_reduced_velocity_sweep(monkeypatch):
                  "coarse_solver.assemble_convection"):
         assert calls.get(name + ".calls", 0) >= 1, name
     assert calls["coarse_solver.solve_coarse_transport.calls"] == 2  # one per M_u
+
+
+def test_offline_hooks_fire_in_a_pooled_timevelocity_sweep(monkeypatch):
+    # every basis-layer hook fires when the builds run on a 2-thread pool,
+    # and each snapshot job hangs under the build that submitted it
+    bench = _load_tracer(monkeypatch)
+    cfg = replace(cli.load_preset("test1_rbc"), target_cells=400, n_domains=4,
+                  velocity_type="type2", concentration_type="type2",
+                  variant="timevelocity", mu_list=(1, 2), mc_list=(1, 2),
+                  n_steps=4, t_max=0.1, threads=2)
+    tracer = bench.Tracer()
+    try:
+        tracer.install(bench.CORE_HOOKS + bench.LAYER_HOOKS, bench.POOLS)
+        harness.run_experiment(cfg)
+    finally:
+        tracer.uninstall()
+    calls = tracer.summary()
+    offline = [h.name for h in bench.LAYER_HOOKS
+               if h.name.startswith(("velocity_basis.", "transport_basis."))]
+    assert offline
+    for name in offline:
+        assert calls.get(name + ".calls", 0) >= 1, name
+    for layer, snaps, build in (
+            ("velocity_basis", "velocity_snapshots", "build_velocity_space"),
+            ("transport_basis", "concentration_snapshots",
+             "build_concentration_space")):
+        jobs = [s for s in tracer.spans if s.name == f"{layer}.{snaps}"]
+        assert jobs and all(s.parent is not None
+                            and s.parent.name == f"{layer}.{build}"
+                            for s in jobs), layer

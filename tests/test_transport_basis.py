@@ -5,12 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from channelms.assembly import LocalDomain, assemble_local_concentration_forms
+from channelms.assembly import (LocalDomain,
+                                assemble_local_concentration_forms, hat_traces)
 from channelms.spectral import NestedSpace
 from channelms.transport_basis import (build_concentration_space,
                                        concentration_snapshots,
                                        expected_transport_dof, interior_basis)
-from channelms.velocity_basis import _boundary_node_data
+from channelms.velocity_basis import build_velocity_space
 
 import oracles
 from helpers import assert_rows_close
@@ -23,6 +24,10 @@ D, ALPHA, GAMMA = 0.05, 0.3, 8.0
 @pytest.fixture(scope="module")
 def md(small_mesh):
     return oracles.MeshData(small_mesh)
+
+
+def _dom(small_dz, small_partition, i):
+    return LocalDomain.build(small_dz.mesh, small_partition, i)
 
 
 def _hat_endpoints(dz, dom, fids):
@@ -67,30 +72,31 @@ def _oracle_facet_rhs(md, dom, fids, sides, coeff, g):
 
 
 def test_argument_validation(small_dz, small_partition):
+    dom = _dom(small_dz, small_partition, 0)
     with pytest.raises(ValueError, match="family"):
-        concentration_snapshots(small_dz, small_partition, 0, "corner", "rbc",
+        concentration_snapshots(small_dz, dom, "corner", "rbc",
                                 "elliptic", D, ALPHA, GAMMA)
     with pytest.raises(ValueError, match="boundary condition"):
-        concentration_snapshots(small_dz, small_partition, 0, "wall", "abc",
+        concentration_snapshots(small_dz, dom, "wall", "abc",
                                 "elliptic", D, ALPHA, GAMMA)
     with pytest.raises(ValueError, match="variant"):
-        concentration_snapshots(small_dz, small_partition, 0, "wall", "rbc",
+        concentration_snapshots(small_dz, dom, "wall", "rbc",
                                 "steady", D, ALPHA, GAMMA)
     with pytest.raises(ValueError, match="velocity"):
-        concentration_snapshots(small_dz, small_partition, 0, "wall", "rbc",
+        concentration_snapshots(small_dz, dom, "wall", "rbc",
                                 "timevelocity", D, ALPHA, GAMMA)
     with pytest.raises(ValueError, match="velocity"):
-        interior_basis(small_dz, small_partition, 0, "timevelocity", D, GAMMA)
+        interior_basis(small_dz, dom, "timevelocity", D, GAMMA)
 
 
 def test_snapshot_counts_by_family(small_dz, small_partition):
-    dom = LocalDomain.build(small_dz.mesh, small_partition, 1)
+    dom = _dom(small_dz, small_partition, 1)
     for family, fids in (("interface", dom.gamma_e), ("wall", dom.gamma_w),
                          ("pooled", dom.boundary())):
-        ss = concentration_snapshots(small_dz, small_partition, 1, family,
+        ss = concentration_snapshots(small_dz, dom, family,
                                      "rbc", "elliptic", D, ALPHA, GAMMA)
-        assert len(ss.snapshots) == len(np.unique(small_dz.mesh.facets[fids]))
-        assert ss.snapshots.shape[1] == 3 * len(dom.cells)
+        assert len(ss) == len(np.unique(small_dz.mesh.facets[fids]))
+        assert ss.shape[1] == 3 * len(dom.cells)
 
 
 @pytest.mark.parametrize("family,bc", [("interface", "dbc"), ("interface", "rbc"),
@@ -99,9 +105,9 @@ def test_snapshot_counts_by_family(small_dz, small_partition):
 def test_elliptic_snapshots_solve_local_problem(small_dz, small_partition, md,
                                                 family, bc):
     # every snapshot satisfies an independently assembled dense local system
-    ss = concentration_snapshots(small_dz, small_partition, 1, family, bc,
+    dom = _dom(small_dz, small_partition, 1)
+    ss = concentration_snapshots(small_dz, dom, family, bc,
                                  "elliptic", D, ALPHA, GAMMA)
-    dom = ss.local
     ge, gw = dom.gamma_e, dom.gamma_w
     if family == "interface":
         data, nitsche = ge, True
@@ -117,7 +123,7 @@ def test_elliptic_snapshots_solve_local_problem(small_dz, small_partition, md,
     A = oracles.local_diffusion_with_bc(md, dom.cells, D, GAMMA, dirichlet,
                                         robin, ALPHA)
     nodes, g = _hat_endpoints(small_dz, dom, data)
-    assert np.array_equal(nodes, ss.nodes)
+    assert np.array_equal(nodes, hat_traces(small_dz, data)[0])
     sides, signs = dom.inside_side(small_dz.mesh, data)
     scale = np.abs(A).max()
     for l in range(0, len(nodes), 4):
@@ -126,16 +132,16 @@ def test_elliptic_snapshots_solve_local_problem(small_dz, small_partition, md,
         else:
             coeff = -1.0 if bc == "nbc" else ALPHA
             F = _oracle_facet_rhs(md, dom, data, sides, coeff, g[l])
-        res = A @ ss.snapshots[l] - F
+        res = A @ ss[l] - F
         assert np.abs(res).max() < 1e-8 * scale, (l, np.abs(res).max())
 
 
 def test_neumann_wall_family_energy_identity(small_dz, small_partition, md):
     # the singular pure-flux operator is closed with a zero-mean constraint:
     # each snapshot has zero mass-weighted mean and satisfies c.(A c) = c.F
-    ss = concentration_snapshots(small_dz, small_partition, 1, "wall", "nbc",
+    dom = _dom(small_dz, small_partition, 1)
+    ss = concentration_snapshots(small_dz, dom, "wall", "nbc",
                                  "elliptic", D, ALPHA, GAMMA)
-    dom = ss.local
     A = oracles.local_diffusion_with_bc(md, dom.cells, D, GAMMA,
                                         np.array([], dtype=int),
                                         np.array([], dtype=int), 0.0)
@@ -144,7 +150,7 @@ def test_neumann_wall_family_energy_identity(small_dz, small_partition, md):
     nodes, g = _hat_endpoints(small_dz, dom, dom.gamma_w)
     sides, _ = dom.inside_side(small_dz.mesh, dom.gamma_w)
     for l in range(0, len(nodes), 4):
-        c = ss.snapshots[l]
+        c = ss[l]
         assert abs(np.ones(len(c)) @ (M @ c)) < 1e-10
         F = _oracle_facet_rhs(md, dom, dom.gamma_w, sides, -1.0, g[l])
         assert np.isclose(c @ (A @ c), c @ F, rtol=1e-8, atol=1e-12)
@@ -152,14 +158,15 @@ def test_neumann_wall_family_energy_identity(small_dz, small_partition, md):
 
 def test_robin_zero_rate_kills_wall_snapshots(small_dz, small_partition):
     u0 = np.zeros(small_dz.dofs.n_velocity)
-    ss = concentration_snapshots(small_dz, small_partition, 1, "wall", "rbc",
-                                 "timevelocity", D, 0.0, GAMMA, u_ms=u0, tau=0.1)
-    assert np.abs(ss.snapshots).max() == 0.0
+    ss = concentration_snapshots(small_dz, _dom(small_dz, small_partition, 1),
+                                 "wall", "rbc", "timevelocity", D, 0.0, GAMMA,
+                                 u_ms=u0, tau=0.1)
+    assert np.abs(ss).max() == 0.0
 
 
 def test_bubble_matches_dense_solve(small_dz, small_partition, md):
-    b = interior_basis(small_dz, small_partition, 1, "elliptic", D, GAMMA)
-    dom = LocalDomain.build(small_dz.mesh, small_partition, 1)
+    dom = _dom(small_dz, small_partition, 1)
+    b = interior_basis(small_dz, dom, "elliptic", D, GAMMA)
     bd = dom.boundary()
     A = oracles.local_diffusion_with_bc(md, dom.cells, D, GAMMA, bd,
                                         np.array([], dtype=int), 0.0)
@@ -174,21 +181,22 @@ def test_bubble_matches_dense_solve(small_dz, small_partition, md):
 def test_bubble_invariances(small_dz, small_partition):
     # the normalized elliptic bubble does not depend on the diffusivity, and
     # the transient bubble converges to it as the time step grows
-    b1 = interior_basis(small_dz, small_partition, 2, "elliptic", 0.05, GAMMA)
-    b2 = interior_basis(small_dz, small_partition, 2, "elliptic", 0.7, GAMMA)
+    dom = _dom(small_dz, small_partition, 2)
+    b1 = interior_basis(small_dz, dom, "elliptic", 0.05, GAMMA)
+    b2 = interior_basis(small_dz, dom, "elliptic", 0.7, GAMMA)
     assert np.abs(b1 - b2).max() < 1e-10
     u0 = np.zeros(small_dz.dofs.n_velocity)
-    bt = interior_basis(small_dz, small_partition, 2, "timevelocity", 0.05,
+    bt = interior_basis(small_dz, dom, "timevelocity", 0.05,
                         GAMMA, u_ms=u0, tau=1e8)
     assert np.abs(bt - b1).max() < 1e-6
 
 
 def test_spectral_checks_on_real_domain(small_dz, small_partition):
-    ss = concentration_snapshots(small_dz, small_partition, 1, "interface",
+    dom = _dom(small_dz, small_partition, 1)
+    ss = concentration_snapshots(small_dz, dom, "interface",
                                  "rbc", "elliptic", D, ALPHA, GAMMA)
-    A, S = assemble_local_concentration_forms(small_dz, small_partition, 1,
-                                              D, GAMMA)
-    check_spectral(ss.snapshots, A.toarray(), S.toarray(), 4)
+    A, S = assemble_local_concentration_forms(small_dz, dom, D, GAMMA)
+    check_spectral(ss, A.toarray(), S.toarray(), 4)
 
 
 def test_build_concentration_space_layout(small_dz, small_partition):
@@ -292,3 +300,27 @@ def test_rank_shortfall_names_domain_family_rank_and_m(small_dz,
                                          r"rank \d+"):
         build_concentration_space(small_dz, small_partition, "type2", 500,
                                   "rbc", "elliptic", D, ALPHA, GAMMA)
+
+
+def test_one_local_domain_per_domain_job(small_dz, small_partition,
+                                         monkeypatch):
+    # each builder's job builds its domain's LocalDomain once and passes it
+    # down to the snapshots, the forms, the spectral problems and the bubble
+    calls = []
+    build = LocalDomain.build.__func__
+
+    def counted(cls, mesh, partition, i):
+        calls.append(i)
+        return build(cls, mesh, partition, i)
+
+    monkeypatch.setattr(LocalDomain, "build", classmethod(counted))
+    N = small_partition.n_domains
+    for kind in ("type1", "type2"):
+        calls.clear()
+        build_velocity_space(small_dz, small_partition, kind, 2, 1.0, 8.0)
+        assert sorted(calls) == list(range(N)), kind
+    calls.clear()
+    build_concentration_space(small_dz, small_partition, "type2", 2, "rbc",
+                              "timevelocity", D, ALPHA, GAMMA,
+                              u_ms=_uniform_velocity(small_dz), tau=0.05)
+    assert sorted(calls) == list(range(N))

@@ -5,15 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from channelms.assembly import LocalDomain, assemble_local_velocity_forms
+from channelms.assembly import (LocalDomain, assemble_local_velocity_forms,
+                                hat_traces)
+from channelms.mesh import CoarsePartition
 from channelms.spectral import NestedSpace
-from channelms.velocity_basis import (_boundary_node_data,
-                                      build_velocity_space, expected_flow_dof,
+from channelms.velocity_basis import (build_velocity_space, expected_flow_dof,
                                       local_stokes, spectral_reduce_velocity,
                                       velocity_snapshots)
 
 import oracles
-from helpers import assert_rows_close
+from helpers import assert_rows_close, closed_copy
 from test_spectral import check_spectral
 
 
@@ -41,43 +42,51 @@ def _trace_errors(dz, dom, snap, gvals_l, direction):
 
 
 @pytest.fixture(scope="module")
-def snaps0(small_dz, small_partition):
-    return velocity_snapshots(small_dz, small_partition, 1, 0, 1.0, 8.0)
+def dom(small_dz, small_partition):
+    return LocalDomain.build(small_dz.mesh, small_partition, 1)
 
 
-def test_snapshot_count_per_direction(small_dz, small_partition, snaps0):
-    dom = LocalDomain.build(small_dz.mesh, small_partition, 1)
+@pytest.fixture(scope="module")
+def lu(small_dz, dom):
+    return local_stokes(small_dz, dom, 1.0, 8.0)
+
+
+@pytest.fixture(scope="module")
+def snaps0(small_dz, dom, lu):
+    return velocity_snapshots(small_dz, dom, 0, 1.0, 8.0, lu)
+
+
+def test_snapshot_count_per_direction(small_dz, dom, lu, snaps0):
     nodes = np.unique(small_dz.mesh.facets[dom.gamma_e])
-    assert np.array_equal(snaps0.nodes, nodes)
-    assert len(snaps0.snapshots) == len(nodes)
-    pooled = velocity_snapshots(small_dz, small_partition, 1, None, 1.0, 8.0)
-    assert len(pooled.snapshots) == 2 * len(nodes)
+    assert np.array_equal(hat_traces(small_dz, dom.gamma_e)[0], nodes)
+    assert len(snaps0) == len(nodes)
+    pooled = velocity_snapshots(small_dz, dom, None, 1.0, 8.0, lu)
+    assert len(pooled) == 2 * len(nodes)
 
 
-def test_snapshot_traces_match_hat_data(small_dz, snaps0):
-    dom = snaps0.local
-    _, gvals = _boundary_node_data(small_dz, dom.gamma_e)
-    for l in range(len(snaps0.nodes)):
-        e, w = _trace_errors(small_dz, dom, snaps0.snapshots[l], gvals[l], 0)
+def test_snapshot_traces_match_hat_data(small_dz, dom, snaps0):
+    _, gvals = hat_traces(small_dz, dom.gamma_e)
+    for l in range(len(snaps0)):
+        e, w = _trace_errors(small_dz, dom, snaps0[l], gvals[l], 0)
         assert e < 1e-6, (l, e)
         assert w < 1e-6, (l, w)
 
 
-def test_snapshot_discrete_divergence_is_compatible_constant(small_dz, snaps0):
+def test_snapshot_discrete_divergence_is_compatible_constant(small_dz, dom,
+                                                            snaps0):
     # the continuity rows force a constant weak divergence balancing the net
     # hat inflow; verified with an independently integrated coupling matrix
-    dom = snaps0.local
     mesh, fg, cg = small_dz.mesh, small_dz.facet_geom, small_dz.cell_geom
     md = oracles.MeshData(mesh)
     Bo = oracles.local_stokes_b(md, dom.cells)
     w = small_dz.quad.facet_weights
-    _, gvals = _boundary_node_data(small_dz, dom.gamma_e)
+    _, gvals = hat_traces(small_dz, dom.gamma_e)
     sides, signs = dom.inside_side(mesh, dom.gamma_e)
     in_cells = mesh.facet_cells[dom.gamma_e, sides]
     pos = {c: k for k, c in enumerate(dom.cells)}
     areas = cg.areas[dom.cells]
     volume = areas.sum()
-    for l in range(0, len(snaps0.nodes), 5):
+    for l in range(0, len(snaps0), 5):
         gint = gvals[l] @ w  # per-facet mean of the hat
         per_facet = (fg.lengths[dom.gamma_e]
                      * signs * fg.normals[dom.gamma_e, 0] * gint)
@@ -86,15 +95,15 @@ def test_snapshot_discrete_divergence_is_compatible_constant(small_dz, snaps0):
             expected[pos[c]] += val
         flux = per_facet.sum()
         expected -= flux / volume * areas
-        got = Bo @ snaps0.snapshots[l]
+        got = Bo @ snaps0[l]
         # the strong data penalty (~1e11) limits the attainable residual of
         # the factored saddle system to round-off times its condition number
         assert np.abs(got[1:] - expected[1:]).max() < 2e-5
 
 
-def test_spectral_checks_on_real_domain(small_dz, small_partition, snaps0):
-    A, S = assemble_local_velocity_forms(small_dz, small_partition, 1, 1.0, 8.0)
-    check_spectral(snaps0.snapshots, A.toarray(), S.toarray(), 5)
+def test_spectral_checks_on_real_domain(small_dz, dom, snaps0):
+    A, S = assemble_local_velocity_forms(small_dz, dom, 1.0, 8.0)
+    check_spectral(snaps0, A.toarray(), S.toarray(), 5)
 
 
 def test_build_velocity_space_layout(small_dz, small_partition):
@@ -131,19 +140,13 @@ def test_expected_flow_dof_formulas():
     assert expected_flow_dof("type2", 20, 20) == 820
 
 
-def test_wall_only_domain_rejected(small_dz, small_mesh):
+def test_wall_only_domain_rejected(small_mesh):
     # a domain whose boundary is all wall cannot host snapshots
-    from channelms.mesh import CoarsePartition, FacetMarker
-    marker = small_mesh.facet_marker.copy()
-    small_mesh.facet_marker[small_mesh.facet_marker != FacetMarker.INTERIOR] = \
-        FacetMarker.WALL
-    try:
-        part = CoarsePartition(1, np.zeros(small_mesh.n_cells, dtype=np.int64),
-                               "structured")
-        with pytest.raises(ValueError, match="no non-wall boundary"):
-            velocity_snapshots(small_dz, part, 0, 0, 1.0, 8.0)
-    finally:
-        small_mesh.facet_marker[:] = marker
+    dz = closed_copy(small_mesh)
+    part = CoarsePartition(1, np.zeros(small_mesh.n_cells, dtype=np.int64),
+                           "structured")
+    with pytest.raises(ValueError, match="no non-wall boundary"):
+        local_stokes(dz, LocalDomain.build(dz.mesh, part, 0), 1.0, 8.0)
 
 
 @pytest.mark.parametrize("kind", ["type1", "type2"])
@@ -152,17 +155,22 @@ def test_factor_once_matches_per_direction_factorization(small_dz,
     # the pinned local systems are near-singular, so sharing one LU across
     # directions must reproduce the per-direction snapshots bit for bit
     directions = [None] if kind == "type1" else [0, 1]
-    stokes = local_stokes(small_dz, small_partition, 1, 1.0, 8.0)
+
+    def own(dom, r):  # a fresh factorization for one direction
+        return velocity_snapshots(small_dz, dom, r, 1.0, 8.0,
+                                  local_stokes(small_dz, dom, 1.0, 8.0))
+
+    dom = LocalDomain.build(small_dz.mesh, small_partition, 1)
+    lu = local_stokes(small_dz, dom, 1.0, 8.0)
     for r in directions:
-        own = velocity_snapshots(small_dz, small_partition, 1, r, 1.0, 8.0)
-        shared = velocity_snapshots(small_dz, small_partition, 1, r, 1.0, 8.0,
-                                    stokes)
-        assert np.array_equal(own.snapshots, shared.snapshots)
+        shared = velocity_snapshots(small_dz, dom, r, 1.0, 8.0, lu)
+        assert np.array_equal(own(dom, r), shared)
+    doms = [LocalDomain.build(small_dz.mesh, small_partition, i)
+            for i in range(small_partition.n_domains)]
     bases = [spectral_reduce_velocity(
-                 small_dz, small_partition,
-                 velocity_snapshots(small_dz, small_partition, i, r, 1.0, 8.0),
-                 3, 1.0, 8.0)
-             for i in range(small_partition.n_domains) for r in directions]
+                 d, -1 if r is None else r, own(d, r),
+                 assemble_local_velocity_forms(small_dz, d, 1.0, 8.0), 3)
+             for d in doms for r in directions]
     ref = NestedSpace.stack("velocity", bases, small_dz.dofs.n_velocity,
                             small_partition.n_domains)
     vs = build_velocity_space(small_dz, small_partition, kind, 3, 1.0, 8.0)
