@@ -4,11 +4,12 @@ All facet machinery is written against "batches": interior facets couple the
 two adjacent cells through jump/average terms, while one-sided batches carry a
 (facet, side, orientation) triple so the same code serves global boundary
 facets and local-domain boundaries (where a globally interior facet is seen
-from one side only).  Scalar P1 operators are assembled first; vector
-(velocity) operators are component-wise copies of the scalar blocks.  The
-upwind convection, assembled once per velocity, keeps its velocity-independent
-half in a `ConvectionPlan` (the global one cached on the `Discretization`):
-a call computes the values and scatters them onto the fixed pattern.
+from one side only); local operators land on the domain's own dofs.  Scalar
+P1 operators are assembled first; vector (velocity) operators are
+component-wise copies of the scalar blocks.  The upwind convection, assembled
+once per velocity, keeps its velocity-independent half in a `ConvectionPlan`
+(the global one cached on the `Discretization`): a call computes the values
+and scatters them onto the fixed pattern.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ DEFAULT_FACET_ORDER = 5
 # strong without changing the assembly path.
 #
 # The price is conditioning: the pinned local Stokes systems are close to
-# singular in floating point.  On test2_dbc at 8000 cells, domain 1 has
-# cond(K) ~ 1.4e19; a 1e-16 relative change of the right-hand side moves its
-# snapshots by 3.4 %, dropping the matrix's explicit zeros (which only changes
-# the COLAMD ordering) by 12 %, and solving both directions as one 2n-column
-# block with the same LU by 0.15 %.  Snapshot solves therefore keep a fixed
-# ordering and one solve call per direction.
+# singular in floating point (cond(K) ~ 1.4e19 on domain 1 of test2_dbc at
+# 8000 cells).  A 1e-16 relative change of the right-hand side moves its
+# snapshots by 3.4 %, dropping its explicit zeros by 12 % and solving both
+# directions as one block by 0.15 %.  Snapshots stay reproducible while every
+# row keeps its entry order and each direction its own solve call; the
+# increasing renumbering of local assembly keeps both (see LocalDomain).
 DATA_PENALTY = 1e10
 
 
@@ -224,19 +225,20 @@ def _empty_entries():
 # scalar volume operators
 # ---------------------------------------------------------------------------
 
-def scalar_mass(dz: Discretization, coeff: float = 1.0) -> sp.csr_matrix:
-    n = dz.dofs.n_concentration
-    areas = dz.cell_geom.areas
+# on every cell, or on the sorted `cells` of one domain and its own dofs
+
+def scalar_mass(dz: Discretization, coeff: float = 1.0, cells=None) -> sp.csr_matrix:
+    areas = dz.cell_geom.areas if cells is None else dz.cell_geom.areas[cells]
     local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     blocks = coeff * areas[:, None, None] * local[None, :, :]
-    return _blocks_to_csr(blocks, n)
+    return _blocks_to_csr(blocks, 3 * len(areas))
 
 
-def scalar_stiffness(dz: Discretization, coeff: float = 1.0) -> sp.csr_matrix:
-    n = dz.dofs.n_concentration
-    g = dz.cell_geom.grads
-    blocks = coeff * dz.cell_geom.areas[:, None, None] * np.einsum("cik,cjk->cij", g, g)
-    return _blocks_to_csr(blocks, n)
+def scalar_stiffness(dz: Discretization, coeff: float = 1.0, cells=None) -> sp.csr_matrix:
+    cg = dz.cell_geom
+    areas, g = (cg.areas, cg.grads) if cells is None else (cg.areas[cells], cg.grads[cells])
+    blocks = coeff * areas[:, None, None] * np.einsum("cik,cjk->cij", g, g)
+    return _blocks_to_csr(blocks, 3 * len(areas))
 
 
 def _blocks_to_csr(blocks: np.ndarray, n: int) -> sp.csr_matrix:
@@ -291,7 +293,7 @@ def assemble_flow(dz: Discretization, mu: float, rho: float, gamma_u: float,
     A_scalar = _merge(entries, dofs.n_concentration)
     A = expand_to_vector(A_scalar)
     M = expand_to_vector(scalar_mass(dz, rho))
-    B = _assemble_b(dz, interior, dirichlet)
+    B = _assemble_b(dz, interior, dirichlet, d_sides, d_signs)
 
     Fu = np.zeros(dofs.n_velocity)
     Fp = np.zeros(dofs.n_pressure)
@@ -313,34 +315,29 @@ def _merge(entry_list, n) -> sp.csr_matrix:
     return out
 
 
-def _assemble_b(dz: Discretization, interior, dirichlet, d_sides=None,
-                d_signs=None, cell_mask=None) -> sp.csr_matrix:
+def _assemble_b(dz: Discretization, interior, dirichlet, d_sides, d_signs,
+                cells=None) -> sp.csr_matrix:
     """b(u, q) = -sum_K ∫ q div u + sum_E ∫ {q} [u]·n  (facets minus outflow).
 
     `d_sides`/`d_signs` generalize the one-sided batch to local-domain
-    boundaries; `cell_mask` restricts the volume term to a subset of cells.
+    boundaries; the sorted `cells` of a domain restrict the volume term to
+    them and number its dofs by rank (pressure rank(c), velocity
+    6 rank(c) + j).
     """
-    mesh, dofs = dz.mesh, dz.dofs
-    cg, fg, quad = dz.cell_geom, dz.facet_geom, dz.quad
+    mesh, cg, fg, quad = dz.mesh, dz.cell_geom, dz.facet_geom, dz.quad
     rows, cols, vals = [], [], []
-    if d_sides is None:
-        d_sides = np.zeros(len(dirichlet), dtype=int)
-    if d_signs is None:
-        d_signs = np.ones(len(dirichlet))
 
     # volume: -area * q * grad(phi_j)_comp
-    nc = mesh.n_cells
-    g = cg.grads  # (nc,3,2)
-    areas = cg.areas if cell_mask is None else np.where(cell_mask, cg.areas, 0.0)
-    vol = -areas[:, None, None] * g  # (nc,3,2)
-    r = np.broadcast_to(np.arange(nc)[:, None, None], vol.shape)
-    c = (6 * np.arange(nc)[:, None, None] + 2 * np.arange(3)[None, :, None]
+    vc = np.arange(mesh.n_cells) if cells is None else cells
+    vol = -cg.areas[vc][:, None, None] * cg.grads[vc]  # (nc,3,2)
+    r = np.broadcast_to(vc[:, None, None], vol.shape)
+    c = (6 * vc[:, None, None] + 2 * np.arange(3)[None, :, None]
          + np.arange(2)[None, None, :])
     rows.append(r.ravel()); cols.append(c.ravel()); vals.append(vol.ravel())
 
     w = quad.facet_weights
     if len(interior):
-        cells = mesh.facet_cells[interior]
+        fc = mesh.facet_cells[interior]
         lens = fg.lengths[interior]
         normals = fg.normals[interior]
         sigma = np.array([1.0, -1.0])
@@ -350,24 +347,27 @@ def _assemble_b(dz: Discretization, interior, dirichlet, d_sides=None,
         # val[p_side s, u_side t, j, comp] = 0.5 * sigma_t * n_comp * ∫phi_j^t
         E = 0.5 * np.einsum("t,fc,ftj->ftjc", sigma, normals, phi_int)  # u part
         for ps in range(2):
-            r = np.broadcast_to(cells[:, ps][:, None, None, None], E.shape)
-            cidx = (6 * cells[:, :, None, None] + 2 * np.arange(3)[None, None, :, None]
+            r = np.broadcast_to(fc[:, ps][:, None, None, None], E.shape)
+            cidx = (6 * fc[:, :, None, None] + 2 * np.arange(3)[None, None, :, None]
                     + np.arange(2)[None, None, None, :])
             rows.append(r.ravel()); cols.append(cidx.ravel()); vals.append(E.ravel())
     if len(dirichlet):
-        cells = mesh.facet_cells[dirichlet, d_sides]
+        fc = mesh.facet_cells[dirichlet, d_sides]
         lens = fg.lengths[dirichlet]
         normals = fg.normals[dirichlet] * np.asarray(d_signs, dtype=float)[:, None]
         Tr = _traces(fg, quad, dirichlet, d_sides)
         phi_int = lens[:, None] * np.einsum("q,fqj->fj", w, Tr)
         E = np.einsum("fc,fj->fjc", normals, phi_int)
-        r = np.broadcast_to(cells[:, None, None], E.shape)
-        cidx = (6 * cells[:, None, None] + 2 * np.arange(3)[None, :, None]
+        r = np.broadcast_to(fc[:, None, None], E.shape)
+        cidx = (6 * fc[:, None, None] + 2 * np.arange(3)[None, :, None]
                 + np.arange(2)[None, None, :])
         rows.append(r.ravel()); cols.append(cidx.ravel()); vals.append(E.ravel())
 
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(dofs.n_pressure, dofs.n_velocity)).tocsr()
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    if cells is not None:
+        rows, cols = _renumber(cells, rows, 1), _renumber(cells, cols, 6)
+    return sp.coo_matrix((np.concatenate(vals), (rows, cols)),
+                         shape=(len(vc), 6 * len(vc))).tocsr()
 
 
 def _flow_rhs(dz: Discretization, data_fids, mu, gamma_u, data, Fu, Fp):
@@ -420,25 +420,27 @@ def assemble_transport(dz: Discretization, D: float, alpha: float, gamma_c: floa
 
     zeros = lambda ids: np.zeros(len(ids), dtype=int)
     ones = lambda ids: np.ones(len(ids))
+    n = dofs.n_concentration
 
     entries = [
         _csr_entries(scalar_stiffness(dz, D)),
         sipg_interior(dz, interior, D, gamma_c),
         sipg_onesided(dz, inflow_ids, zeros(inflow_ids), ones(inflow_ids), D, gamma_c),
     ]
-    F = nitsche_rhs_values(dz, inflow_ids, zeros(inflow_ids), ones(inflow_ids), D,
-                           gamma_c, _facet_data(dz, inflow_ids, _as_callable(c_in)))
+    F = _load(n, nitsche_rhs_values(dz, inflow_ids, zeros(inflow_ids), ones(inflow_ids), D,
+                                    gamma_c, _facet_data(dz, inflow_ids, _as_callable(c_in))))
     g = _facet_data(dz, wall_ids, _as_callable(wall_data))
     if wall_bc == "dbc":
         entries.append(sipg_onesided(dz, wall_ids, zeros(wall_ids), ones(wall_ids), D, gamma_c))
-        F += nitsche_rhs_values(dz, wall_ids, zeros(wall_ids), ones(wall_ids), D, gamma_c, g)
+        F += _load(n, nitsche_rhs_values(dz, wall_ids, zeros(wall_ids), ones(wall_ids), D,
+                                         gamma_c, g))
     elif wall_bc == "rbc":
         entries.append(facet_mass_onesided(dz, wall_ids, zeros(wall_ids), alpha))
-        F += facet_rhs_values(dz, wall_ids, zeros(wall_ids), g, alpha)
+        F += _load(n, facet_rhs_values(dz, wall_ids, zeros(wall_ids), g, alpha))
     else:  # nbc: -D grad c . n = wall_data, contributes only to the load
-        F += facet_rhs_values(dz, wall_ids, zeros(wall_ids), g, -1.0)
+        F += _load(n, facet_rhs_values(dz, wall_ids, zeros(wall_ids), g, -1.0))
 
-    A = _merge(entries, dofs.n_concentration)
+    A = _merge(entries, n)
     M = scalar_mass(dz)
 
     if source is not None:
@@ -500,9 +502,10 @@ class ConvectionPlan:
                   + sum_{two-sided E} ∫ ((u+·n)^+ c+ + (u-·n)^- c-) [r]
                   + sum_{one-sided E} ∫ (u·n)^+ c r
 
-    over a set of cells and facets: the P1 trace and quadrature tables, the
-    node dofs of each facet side, and the fixed CSR pattern with the slot in
-    its data of every value `assemble` computes.
+    over a sorted set of cells and their facets: the P1 trace and quadrature
+    tables, the global node dofs of each facet side (where `assemble` reads
+    the velocity), and the fixed CSR pattern on the cells' own dofs with the
+    slot in its data of every value `assemble` computes.
     """
 
     cells: np.ndarray
@@ -527,14 +530,16 @@ class ConvectionPlan:
         sd = np.stack([_node_dofs(dz, shared, np.zeros(len(shared), dtype=int)),
                        _node_dofs(dz, shared, np.ones(len(shared), dtype=int))], axis=1)
         od = _node_dofs(dz, onesided, sides)
+        cells = np.asarray(cells)
+        sdl, odl = _renumber(cells, sd), _renumber(cells, od)
         # value order of `assemble`: volume (c, i, j), two-sided
         # (test side, f, trial side, a, b), one-sided (f, a, b)
-        vol = 3 * np.asarray(cells)[:, None, None] + np.zeros((1, 3, 3), dtype=int)
-        rows = [vol + np.arange(3)[:, None], sd.transpose(1, 0, 2)[:, :, None, :, None],
-                od[:, :, None]]
-        cols = [vol + np.arange(3), sd[None, :, :, None, :], od[:, None, :]]
+        vol = 3 * np.arange(len(cells))[:, None, None] + np.zeros((1, 3, 3), dtype=int)
+        rows = [vol + np.arange(3)[:, None], sdl.transpose(1, 0, 2)[:, :, None, :, None],
+                odl[:, :, None]]
+        cols = [vol + np.arange(3), sdl[None, :, :, None, :], odl[:, None, :]]
         shapes = [vol.shape, (2, len(shared), 2, 2, 2), (len(onesided), 2, 2)]
-        n = dz.dofs.n_concentration
+        n = 3 * len(cells)
         key = np.concatenate([(np.broadcast_to(r, s) * n + np.broadcast_to(c, s)).ravel()
                               for r, c, s in zip(rows, cols, shapes)])
         pattern, slot = np.unique(key, return_inverse=True)
@@ -544,7 +549,7 @@ class ConvectionPlan:
         indptr.setflags(write=False)
         indices.setflags(write=False)
         TT = (T[:, :, None] * T[:, None, :]).reshape(len(t), 4)
-        return cls(cells=np.asarray(cells), shared=shared, shared_dofs=sd,
+        return cls(cells=cells, shared=shared, shared_dofs=sd,
                    onesided=onesided, onesided_dofs=od,
                    signs=np.asarray(signs, dtype=float),
                    mass=phis.T @ (quadc.cell_weights[:, None] * phis), trace=T,
@@ -575,30 +580,46 @@ def assemble_convection(dz: Discretization, u_h, c_in):
     """(C, F) upwind convection operator on the fixed pattern of
     `dz.convection_plan()` and its inflow data load  -∫ (u·n)^- c_in r."""
     inflow = _marker_ids(dz.mesh, FacetMarker.INFLOW)
-    F = upwind_boundary_rhs(dz, inflow, np.zeros(len(inflow), dtype=int),
-                            np.ones(len(inflow)), u_h,
-                            _facet_data(dz, inflow, _as_callable(c_in)))
+    F = _load(dz.dofs.n_concentration,
+              upwind_boundary_rhs(dz, inflow, np.zeros(len(inflow), dtype=int),
+                                  np.ones(len(inflow)), u_h,
+                                  _facet_data(dz, inflow, _as_callable(c_in))))
     return dz.convection_plan().assemble(dz, u_h), F
 
 
-def upwind_boundary_rhs(dz: Discretization, fids, sides, signs, u_h, gvals) -> np.ndarray:
-    """Inflow data load  -∫ (u·n)^- gvals r  (scalar, full length)."""
-    out = np.zeros(dz.dofs.n_concentration)
-    if len(fids) == 0:
-        return out
+def upwind_boundary_rhs(dz: Discretization, fids, sides, signs, u_h, gvals):
+    """Inflow data load  -∫ (u·n)^- gvals r  as (dofs, vals) entries of shape
+    (nF, 2) on the facet node dofs; u_h is read at global dofs."""
     fg, quad = dz.facet_geom, dz.quad
     T = np.column_stack([1.0 - quad.facet_points, quad.facet_points])
     dofs = _node_dofs(dz, fids, sides)
     normals = fg.normals[fids] * np.asarray(signs, dtype=float)[:, None]
     un = _normal_velocity(np.asarray(u_h, dtype=float).reshape(-1, 2), dofs, normals, T)
     flux = quad.facet_weights * np.minimum(un, 0.0) * gvals
-    np.add.at(out, dofs, -fg.lengths[fids][:, None] * (flux[:, :, None] * T).sum(axis=1))
+    return dofs, -fg.lengths[fids][:, None] * (flux[:, :, None] * T).sum(axis=1)
+
+
+def _load(n: int, entries) -> np.ndarray:
+    """The length-n load vector of (dofs, vals) entries, summed in order."""
+    out = np.zeros(n)
+    np.add.at(out, *entries)
     return out
 
 
 # ---------------------------------------------------------------------------
-# local domains and local spectral forms
+# local domains: operators and loads on a domain's own dofs
 # ---------------------------------------------------------------------------
+#
+# Global dof 3c+k of a domain is its local dof 3 rank(c) + k, rank(c) being
+# the position of c in the sorted `LocalDomain.cells` (velocity 6c+j and
+# pressure c likewise).  The map is increasing, so each row of a local
+# operator keeps the entry sequence of its global row: scipy's duplicate sort,
+# every sum and every explicit zero are those of the restricted global one.
+
+def _renumber(cells: np.ndarray, dofs: np.ndarray, per_cell: int = 3) -> np.ndarray:
+    """Local numbers of global dofs, `per_cell` to a cell, of the sorted `cells`."""
+    return per_cell * np.searchsorted(cells, dofs // per_cell) + dofs % per_cell
+
 
 @dataclass(frozen=True)
 class LocalDomain:
@@ -629,11 +650,15 @@ class LocalDomain:
     def inside_side(self, mesh: Mesh, fids) -> tuple[np.ndarray, np.ndarray]:
         """(sides, signs): which facet side lies inside, and the outward-normal
         sign for that side."""
-        inside = np.zeros(mesh.n_cells, dtype=bool)
-        inside[self.cells] = True
-        sides = np.where(inside[mesh.facet_cells[fids, 0]], 0, 1).astype(int)
-        signs = np.where(sides == 0, 1.0, -1.0)
-        return sides, signs
+        plus = mesh.facet_cells[fids, 0]
+        at = np.minimum(np.searchsorted(self.cells, plus), len(self.cells) - 1)
+        sides = np.where(self.cells[at] == plus, 0, 1)
+        return sides, np.where(sides == 0, 1.0, -1.0)
+
+    def local(self, entries):
+        """(rows, cols, vals) entries on the domain's scalar dofs, renumbered."""
+        rows, cols, vals = entries
+        return _renumber(self.cells, rows), _renumber(self.cells, cols), vals
 
     def scalar_dofs(self) -> np.ndarray:
         return (3 * self.cells[:, None] + np.arange(3)[None, :]).reshape(-1)
@@ -641,88 +666,103 @@ class LocalDomain:
     def velocity_dofs(self) -> np.ndarray:
         return (6 * self.cells[:, None] + np.arange(6)[None, :]).reshape(-1)
 
-    def pressure_dofs(self) -> np.ndarray:
-        return self.cells
 
-
-def _restrict(mat: sp.spmatrix, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
-    return mat.tocsr()[rows, :][:, cols]
-
-
-def assemble_local_velocity_forms(dz: Discretization, dom: LocalDomain,
-                                  mu: float, gamma_u: float):
-    """(A, S) for the velocity spectral problem on a local domain.
-
-    A is the local DG viscous form with interior-facet terms only; S is the
-    facet mass over the local boundary.  Both live on local velocity dofs.
-    """
-    A_s = _local_scalar_interior_form(dz, dom, mu, gamma_u)
-    S_s = _local_scalar_boundary_mass(dz, dom)
-    sd = dom.scalar_dofs()
-    A = expand_to_vector(_restrict(A_s, sd, sd))
-    S = expand_to_vector(_restrict(S_s, sd, sd))
-    return A, S
+def local_interior_form(dz: Discretization, dom: LocalDomain, coeff: float,
+                        gamma: float) -> sp.csr_matrix:
+    """The domain's scalar DG form: volume stiffness on its cells plus SIPG
+    over its interior facets.  A domain job builds it once and passes it as
+    `interior` to its forms and local operators."""
+    return _merge([_csr_entries(scalar_stiffness(dz, coeff, dom.cells)),
+                   dom.local(sipg_interior(dz, dom.interior_facets, coeff, gamma))],
+                  3 * len(dom.cells))
 
 
 def assemble_local_concentration_forms(dz: Discretization, dom: LocalDomain,
-                                       D: float, gamma_c: float):
-    """(A, S) for the concentration spectral problem on a local domain
-    (scalar)."""
-    A_s = _local_scalar_interior_form(dz, dom, D, gamma_c)
-    S_s = _local_scalar_boundary_mass(dz, dom)
-    sd = dom.scalar_dofs()
-    return _restrict(A_s, sd, sd), _restrict(S_s, sd, sd)
-
-
-def _local_scalar_interior_form(dz: Discretization, dom: LocalDomain,
-                                coeff: float, gamma: float) -> sp.csr_matrix:
-    n = dz.dofs.n_concentration
-    mask = np.zeros(dz.mesh.n_cells, dtype=bool)
-    mask[dom.cells] = True
-    areas = np.where(mask, dz.cell_geom.areas, 0.0)
-    g = dz.cell_geom.grads
-    blocks = coeff * areas[:, None, None] * np.einsum("cik,cjk->cij", g, g)
-    vol = _blocks_to_csr(blocks, n)
-    entries = [_csr_entries(vol), sipg_interior(dz, dom.interior_facets, coeff, gamma)]
-    return _merge(entries, n)
-
-
-def _local_scalar_boundary_mass(dz: Discretization, dom: LocalDomain) -> sp.csr_matrix:
+                                       interior: sp.csr_matrix):
+    """(A, S) for the concentration spectral problem on a local domain: its
+    `interior` form and the facet mass over the local boundary (scalar)."""
     fids = dom.boundary()
     sides, _ = dom.inside_side(dz.mesh, fids)
-    return _merge([facet_mass_onesided(dz, fids, sides, 1.0)], dz.dofs.n_concentration)
+    S = _merge([dom.local(facet_mass_onesided(dz, fids, sides, 1.0))], 3 * len(dom.cells))
+    return interior, S
+
+
+def assemble_local_velocity_forms(dz: Discretization, dom: LocalDomain,
+                                  interior: sp.csr_matrix):
+    """(A, S) for the velocity spectral problem on a local domain: the scalar
+    forms (`interior` of viscosity mu), component-wise on local velocity dofs."""
+    A, S = assemble_local_concentration_forms(dz, dom, interior)
+    return expand_to_vector(A), expand_to_vector(S)
+
+
+def assemble_local_stokes(dz: Discretization, dom: LocalDomain, mu: float,
+                          gamma_u: float, interior: sp.csr_matrix):
+    """(A, B) of the local Stokes system with weak Dirichlet data on the whole
+    local boundary, on local velocity/pressure dofs."""
+    bd = dom.boundary()
+    sides, signs = dom.inside_side(dz.mesh, bd)
+    A = _merge([_csr_entries(interior), dom.local(
+        sipg_onesided(dz, bd, sides, signs, mu, gamma_u * DATA_PENALTY))], 3 * len(dom.cells))
+    B = _assemble_b(dz, dom.interior_facets, bd, sides, signs, cells=dom.cells)
+    return expand_to_vector(A), B
+
+
+def local_diffusion_with_bc(dz: Discretization, dom: LocalDomain, D: float,
+                            gamma_c: float, dirichlet_fids, robin_fids,
+                            alpha: float, interior: sp.csr_matrix) -> sp.csr_matrix:
+    """Local scalar diffusion operator: the `interior` form plus weak Dirichlet
+    on `dirichlet_fids` (physical penalty gamma_c) and Robin mass on
+    `robin_fids`."""
+    entries = [_csr_entries(interior)]
+    if len(dirichlet_fids):
+        sides, signs = dom.inside_side(dz.mesh, dirichlet_fids)
+        entries.append(dom.local(sipg_onesided(dz, dirichlet_fids, sides, signs, D, gamma_c)))
+    if len(robin_fids) and alpha != 0.0:
+        sides, _ = dom.inside_side(dz.mesh, robin_fids)
+        entries.append(dom.local(facet_mass_onesided(dz, robin_fids, sides, alpha)))
+    return _merge(entries, 3 * len(dom.cells))
+
+
+def local_upwind_convection(dz: Discretization, dom: LocalDomain, u_h) -> sp.csr_matrix:
+    """Convection operator of a local domain: volume + interior upwind +
+    one-sided (u·n)^+ over the whole local boundary, on local dofs."""
+    bd = dom.boundary()
+    sides, signs = dom.inside_side(dz.mesh, bd)
+    return ConvectionPlan.build(dz, dom.cells, dom.interior_facets, bd, sides,
+                                signs).assemble(dz, u_h)
 
 
 # ---------------------------------------------------------------------------
-# local snapshot systems (facet data given as per-quad-point value arrays)
+# local snapshot loads (facet data given as per-quad-point value arrays)
 # ---------------------------------------------------------------------------
 
-def hat_traces(dz: Discretization, fids: np.ndarray):
-    """Hat-function data per boundary trace node on the given facets.
+def hat_ends(dz: Discretization, fids: np.ndarray):
+    """(n_nodes, ends): how many trace nodes the facets `fids` have and, per
+    facet, the positions of its two end nodes among them (ascending ids); a
+    node's hat is `1 - t` along the facets it starts and `t` along the rest."""
+    nodes, ends = np.unique(dz.mesh.facets[fids], return_inverse=True)
+    return len(nodes), ends.reshape(len(fids), 2)
 
-    Returns (nodes, gvals) with gvals of shape (n_nodes, n_facets, nq): the
-    trace of the hat centered at each node along each facet.
-    """
+
+def hat_loads(dz: Discretization, dom: LocalDomain, fids, load) -> np.ndarray:
+    """(n_nodes, local scalar dofs): the load of every hat of `hat_ends` on
+    `fids`, for a `load(gvals)` linear in its (nF, nq) facet data that returns
+    (dofs, vals) entries.  The `1 - t` and `t` traces are loaded once for all
+    facets, and each hat adds its facets' share in ascending facet order, as
+    one load call per hat would."""
     t = dz.quad.facet_points
-    pairs = dz.mesh.facets[fids]  # (nF, 2)
-    nodes = np.unique(pairs)
-    gvals = np.zeros((len(nodes), len(fids), len(t)))
-    pos = {n: k for k, n in enumerate(nodes)}
-    for j, (a, b) in enumerate(pairs):
-        gvals[pos[a], j] = 1.0 - t
-        gvals[pos[b], j] = t
-    return nodes, gvals
+    n_nodes, ends = hat_ends(dz, fids)
+    (dofs, first), (_, second) = (load(np.tile(g, (len(fids), 1))) for g in (1.0 - t, t))
+    out = np.zeros((n_nodes, 3 * len(dom.cells)))
+    np.add.at(out, (ends[:, :, None], _renumber(dom.cells, dofs)[:, None, :]),
+              np.stack([first, second], axis=1))
+    return out
 
 
 def nitsche_rhs_values(dz: Discretization, fids, sides, signs, coeff, gamma,
-                       gvals) -> np.ndarray:
-    """Weak-Dirichlet data load for scalar facet data `gvals` of shape (nF, nq).
-
-    Returns the full-length scalar load vector (3 * n_cells).
-    """
-    out = np.zeros(dz.dofs.n_concentration)
-    if len(fids) == 0:
-        return out
+                       gvals):
+    """Weak-Dirichlet data load for scalar facet data `gvals` of shape (nF, nq),
+    as (dofs, vals) entries of shape (nF, 3) on the side cells' dofs."""
     mesh, cg, fg, quad = dz.mesh, dz.cell_geom, dz.facet_geom, dz.quad
     w = quad.facet_weights
     cells = mesh.facet_cells[fids, sides]
@@ -732,69 +772,14 @@ def nitsche_rhs_values(dz: Discretization, fids, sides, signs, coeff, gamma,
     dn = _normal_derivs(cg, normals, cells)
     vals = gamma * coeff * np.einsum("q,fqi,fq->fi", w, Tr, gvals)
     vals -= coeff * lens[:, None] * dn * np.einsum("q,fq->f", w, gvals)[:, None]
-    np.add.at(out, 3 * cells[:, None] + np.arange(3)[None, :], vals)
-    return out
+    return 3 * cells[:, None] + np.arange(3)[None, :], vals
 
 
-def facet_rhs_values(dz: Discretization, fids, sides, gvals,
-                     coeff: float = 1.0) -> np.ndarray:
-    """∫_E gvals * r load (scalar, full length)."""
-    out = np.zeros(dz.dofs.n_concentration)
-    if len(fids) == 0:
-        return out
+def facet_rhs_values(dz: Discretization, fids, sides, gvals, coeff: float = 1.0):
+    """∫_E gvals * r load, as (dofs, vals) entries of shape (nF, 3)."""
     mesh, fg, quad = dz.mesh, dz.facet_geom, dz.quad
     cells = mesh.facet_cells[fids, sides]
     Tr = _traces(fg, quad, fids, sides)
     vals = coeff * fg.lengths[fids][:, None] * np.einsum(
         "q,fqi,fq->fi", quad.facet_weights, Tr, gvals)
-    np.add.at(out, 3 * cells[:, None] + np.arange(3)[None, :], vals)
-    return out
-
-
-def local_upwind_convection(dz: Discretization, dom: LocalDomain, u_h) -> sp.csr_matrix:
-    """Convection operator of a local domain: volume + interior upwind +
-    one-sided (u·n)^+ over the whole local boundary.  Full-size scalar matrix."""
-    bd = dom.boundary()
-    sides, signs = dom.inside_side(dz.mesh, bd)
-    return ConvectionPlan.build(dz, dom.cells, dom.interior_facets, bd, sides,
-                                signs).assemble(dz, u_h)
-
-
-def assemble_local_stokes(dz: Discretization, dom: LocalDomain, mu: float,
-                          gamma_u: float):
-    """(A, B) of the local Stokes system with weak Dirichlet data on the whole
-    local boundary; restricted to local velocity/pressure dofs."""
-    mesh = dz.mesh
-    bd = dom.boundary()
-    sides, signs = dom.inside_side(mesh, bd)
-    A_s = _merge([
-        _csr_entries(_local_scalar_interior_form(dz, dom, mu, gamma_u)),
-        sipg_onesided(dz, bd, sides, signs, mu, gamma_u * DATA_PENALTY),
-    ], dz.dofs.n_concentration)
-    mask = np.zeros(mesh.n_cells, dtype=bool)
-    mask[dom.cells] = True
-    B = _assemble_b(dz, dom.interior_facets, bd, sides, signs, cell_mask=mask)
-    sd = dom.scalar_dofs()
-    A = expand_to_vector(_restrict(A_s, sd, sd))
-    B_loc = _restrict(B, dom.pressure_dofs(), dom.velocity_dofs())
-    return A, B_loc
-
-
-def local_diffusion_with_bc(dz: Discretization, dom: LocalDomain, D: float,
-                            gamma_c: float, dirichlet_fids, robin_fids,
-                            alpha: float) -> sp.csr_matrix:
-    """Local scalar diffusion operator: interior SIPG plus weak Dirichlet on
-    `dirichlet_fids` (physical penalty gamma_c) and Robin mass on
-    `robin_fids`; restricted to local dofs."""
-    mesh = dz.mesh
-    entries = [_csr_entries(_local_scalar_interior_form(dz, dom, D, gamma_c))]
-    if len(dirichlet_fids):
-        sides, signs = dom.inside_side(mesh, dirichlet_fids)
-        entries.append(sipg_onesided(dz, dirichlet_fids, sides, signs, D,
-                                     gamma_c))
-    if len(robin_fids) and alpha != 0.0:
-        sides, _ = dom.inside_side(mesh, robin_fids)
-        entries.append(facet_mass_onesided(dz, robin_fids, sides, alpha))
-    A = _merge(entries, dz.dofs.n_concentration)
-    sd = dom.scalar_dofs()
-    return _restrict(A, sd, sd)
+    return 3 * cells[:, None] + np.arange(3)[None, :], vals

@@ -10,6 +10,7 @@ domain is a subset of the rows of the space of any larger M (`NestedSpace`).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,14 @@ class ModeBlock:
     eigenvalues: np.ndarray
     vectors: np.ndarray  # (modes, len(dofs))
     dofs: np.ndarray
+
+
+def pool_workers(threads: int) -> int:
+    """Workers for a basis builder's per-domain jobs: `threads`, capped at the
+    cores the process may use where the platform tells (Linux)."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(threads, len(os.sched_getaffinity(0)))
+    return threads
 
 
 @dataclass

@@ -20,11 +20,11 @@ from scipy.sparse.linalg import splu
 
 from .assembly import (Discretization, LocalDomain,
                        assemble_local_concentration_forms, facet_rhs_values,
-                       hat_traces, local_diffusion_with_bc,
+                       hat_loads, local_diffusion_with_bc, local_interior_form,
                        local_upwind_convection, nitsche_rhs_values,
                        scalar_mass, upwind_boundary_rhs)
 from .mesh import CoarsePartition
-from .spectral import ModeBlock, NestedSpace, spectral_reduce
+from .spectral import ModeBlock, NestedSpace, pool_workers, spectral_reduce
 
 log = logging.getLogger(__name__)
 
@@ -39,16 +39,24 @@ def _check_variant(variant, u_ms, tau):
         raise ValueError("timevelocity needs a velocity and a time step")
 
 
-def _local_operator(dz, dom, D, gamma_c, dirichlet_fids, robin_fids, alpha,
-                    variant, u_ms, tau):
-    A = local_diffusion_with_bc(dz, dom, D, gamma_c, dirichlet_fids,
-                                robin_fids, alpha)
-    sd = dom.scalar_dofs()
+def local_operators(dz: Discretization, dom: LocalDomain, variant: str,
+                    D: float, gamma_c: float, u_ms=None, tau=None):
+    """(interior, M, transient): what the local operators of a domain share,
+    built once per domain job: its `local_interior_form`, its mass and, for
+    time+velocity, M/tau with its upwind convection (empty for elliptic)."""
+    _check_variant(variant, u_ms, tau)
+    M = scalar_mass(dz, cells=dom.cells)
+    transient = ()
     if variant == "timevelocity":
-        M = scalar_mass(dz)[sd, :][:, sd]
-        C = local_upwind_convection(dz, dom, u_ms)[sd, :][:, sd]
-        A = (A + M / tau + C).tocsr()
-    return A
+        transient = (M / tau, local_upwind_convection(dz, dom, u_ms))
+    return local_interior_form(dz, dom, D, gamma_c), M, transient
+
+
+def _local_operator(dz, dom, D, gamma_c, dirichlet_fids, robin_fids, alpha,
+                    interior, transient):
+    A = local_diffusion_with_bc(dz, dom, D, gamma_c, dirichlet_fids,
+                                robin_fids, alpha, interior)
+    return sum(transient, A).tocsr()  # (A + M/tau) + C
 
 
 def _solve_local(A, rhs, M_loc=None):
@@ -65,18 +73,17 @@ def _solve_local(A, rhs, M_loc=None):
 
 def concentration_snapshots(dz: Discretization, dom: LocalDomain, family: str,
                             bc_kind: str, variant: str, D: float, alpha: float,
-                            gamma_c: float, u_ms=None, tau=None) -> np.ndarray:
+                            gamma_c: float, interior, M_loc, transient,
+                            u_ms=None, tau=None) -> np.ndarray:
     """Solve the local transport problems for every boundary trace node of the
-    family's data boundary.  Returns (n_snap, local scalar dofs), ordered by
+    family's data boundary, with the domain's `local_operators` (`interior`,
+    `M_loc`, `transient`).  Returns (n_snap, local scalar dofs), ordered by
     boundary node; a wall family on a domain without walls has no rows."""
     if family not in FAMILIES:
         raise ValueError(f"unknown snapshot family {family!r}")
     if bc_kind not in ("dbc", "nbc", "rbc"):
         raise ValueError(f"unknown wall boundary condition {bc_kind!r}")
     _check_variant(variant, u_ms, tau)
-    mesh = dz.mesh
-    sd = dom.scalar_dofs()
-    n_loc = len(sd)
     ge, gw = dom.gamma_e, dom.gamma_w
 
     if family == "interface":
@@ -86,7 +93,7 @@ def concentration_snapshots(dz: Discretization, dom: LocalDomain, family: str,
     elif family == "wall":
         if len(gw) == 0:
             log.warning("domain %d has no wall facets; wall family empty", dom.index)
-            return np.zeros((0, n_loc))
+            return np.zeros((0, 3 * len(dom.cells)))
         data_fids, nitsche_data = gw, bc_kind == "dbc"
         dirichlet = gw if bc_kind == "dbc" else np.array([], dtype=int)
         robin = gw if bc_kind == "rbc" else np.array([], dtype=int)
@@ -100,29 +107,24 @@ def concentration_snapshots(dz: Discretization, dom: LocalDomain, family: str,
                          f"{family!r}")
 
     A = _local_operator(dz, dom, D, gamma_c, dirichlet, robin, alpha,
-                        variant, u_ms, tau)
+                        interior, transient)
     singular = (variant == "elliptic" and len(dirichlet) == 0
                 and (len(robin) == 0 or alpha == 0.0))
-    M_loc = scalar_mass(dz)[sd, :][:, sd] if singular else None
 
-    nodes, gvals = hat_traces(dz, data_fids)
-    sides, signs = dom.inside_side(mesh, data_fids)
-    rhs = np.zeros((n_loc, len(nodes)))
-    for l in range(len(nodes)):
-        if nitsche_data:
-            F = nitsche_rhs_values(dz, data_fids, sides, signs, D,
-                                   gamma_c, gvals[l])
-            if variant == "timevelocity":
-                F += upwind_boundary_rhs(dz, data_fids, sides, signs,
-                                         u_ms.reshape(-1, 3, 2), gvals[l])
-        elif bc_kind == "nbc":
-            # prescribed outward diffusive flux datum
-            F = facet_rhs_values(dz, data_fids, sides, gvals[l], coeff=-1.0)
-        else:  # rbc wall data
-            F = facet_rhs_values(dz, data_fids, sides, gvals[l], coeff=alpha)
-        rhs[:, l] = F[sd]
+    sides, signs = dom.inside_side(dz.mesh, data_fids)
+    if nitsche_data:
+        rhs = hat_loads(dz, dom, data_fids, lambda g: nitsche_rhs_values(
+            dz, data_fids, sides, signs, D, gamma_c, g))
+        if variant == "timevelocity":
+            rhs += hat_loads(dz, dom, data_fids, lambda g: upwind_boundary_rhs(
+                dz, data_fids, sides, signs, u_ms, g))
+    else:
+        # nbc: prescribed outward diffusive flux datum; rbc: wall data
+        coeff = -1.0 if bc_kind == "nbc" else alpha
+        rhs = hat_loads(dz, dom, data_fids, lambda g: facet_rhs_values(
+            dz, data_fids, sides, g, coeff))
 
-    return _solve_local(A, rhs, M_loc).T
+    return _solve_local(A, rhs.T, M_loc if singular else None).T
 
 
 def spectral_reduce_concentration(dom: LocalDomain, label: str,
@@ -147,16 +149,15 @@ def spectral_reduce_concentration(dom: LocalDomain, label: str,
 
 
 def interior_basis(dz: Discretization, dom: LocalDomain, variant: str,
-                   D: float, gamma_c: float, u_ms=None, tau=None) -> np.ndarray:
-    """Per-domain bubble: zero Dirichlet trace, unit source, unit L2 norm."""
+                   D: float, gamma_c: float, interior, M_loc, transient,
+                   u_ms=None, tau=None) -> np.ndarray:
+    """Per-domain bubble: zero Dirichlet trace, unit source, unit L2 norm,
+    with the domain's `local_operators` (`interior`, `M_loc`, `transient`)."""
     _check_variant(variant, u_ms, tau)
-    sd = dom.scalar_dofs()
-    bd = dom.boundary()
-    A = _local_operator(dz, dom, D, gamma_c, bd, np.array([], dtype=int), 0.0,
-                        variant, u_ms, tau)
-    M_loc = scalar_mass(dz)[sd, :][:, sd]
+    A = _local_operator(dz, dom, D, gamma_c, dom.boundary(),
+                        np.array([], dtype=int), 0.0, interior, transient)
     scale = 1.0 / tau if variant == "timevelocity" else 1.0
-    F = scale * np.asarray(M_loc @ np.ones(len(sd)))
+    F = scale * np.asarray(M_loc @ np.ones(M_loc.shape[0]))
     c = splu(A.tocsc()).solve(F)
     nrm = np.sqrt(c @ (M_loc @ c))
     if nrm > 0:
@@ -171,8 +172,9 @@ def build_concentration_space(dz: Discretization, partition: CoarsePartition,
                               threads: int = 1) -> NestedSpace:
     """Assemble per-domain concentration bases into projection rows: each
     domain's family modes followed by its bubble.  One job per domain builds
-    its local domain and assembles its spectral forms once for all of its
-    families."""
+    its local domain and its `local_operators`, and assembles its spectral
+    forms once for all of its families (workers as in
+    `build_velocity_space`)."""
     kind = kind.lower()
     if kind not in ("type1", "type2"):
         raise ValueError(f"unknown concentration space kind {kind!r}")
@@ -180,20 +182,25 @@ def build_concentration_space(dz: Discretization, partition: CoarsePartition,
 
     def run(i):
         dom = LocalDomain.build(dz.mesh, partition, i)
-        forms = assemble_local_concentration_forms(dz, dom, D, gamma_c)
+        interior, M_loc, transient = local_operators(dz, dom, variant, D,
+                                                     gamma_c, u_ms, tau)
+        forms = assemble_local_concentration_forms(dz, dom, interior)
         blocks = []
         for fam in families:
             snaps = concentration_snapshots(dz, dom, fam, bc_kind, variant, D,
-                                            alpha, gamma_c, u_ms, tau)
+                                            alpha, gamma_c, interior, M_loc,
+                                            transient, u_ms, tau)
             blocks.append(spectral_reduce_concentration(dom, fam, snaps,
                                                         forms, M))
-        bubble = interior_basis(dz, dom, variant, D, gamma_c, u_ms, tau)
+        bubble = interior_basis(dz, dom, variant, D, gamma_c, interior, M_loc,
+                                transient, u_ms, tau)
         blocks.append(ModeBlock(domain=i, label="bubble", eigenvalues=np.zeros(0),
                                 vectors=bubble[None, :], dofs=dom.scalar_dofs()))
         return blocks
 
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        run_all = ex.map if threads > 1 else map  # as in build_velocity_space
+    workers = pool_workers(threads)
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        run_all = ex.map if workers > 1 else map  # as in build_velocity_space
         per_domain = list(run_all(run, range(partition.n_domains)))
     return NestedSpace.stack("concentration", [b for bs in per_domain for b in bs],
                              dz.dofs.n_concentration)

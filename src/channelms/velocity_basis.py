@@ -17,24 +17,27 @@ from scipy.sparse.linalg import splu
 
 from .assembly import (DATA_PENALTY, Discretization, LocalDomain,
                        assemble_local_stokes, assemble_local_velocity_forms,
-                       hat_traces, nitsche_rhs_values)
+                       hat_ends, hat_loads, local_interior_form,
+                       nitsche_rhs_values)
 from .mesh import CoarsePartition
-from .spectral import ModeBlock, NestedSpace, spectral_reduce
+from .spectral import ModeBlock, NestedSpace, pool_workers, spectral_reduce
 
 
 def local_stokes(dz: Discretization, dom: LocalDomain, mu: float,
-                 gamma_u: float):
-    """Assemble and factor the local Stokes system of a domain, so that every
-    snapshot direction reuses the same LU; the local pressure constant is
-    pinned at the first pressure dof.  Returns the SuperLU factorization."""
+                 gamma_u: float, interior: sp.csr_matrix):
+    """Assemble and factor the local Stokes system of a domain (with its
+    `local_interior_form` as `interior`), so that every snapshot direction
+    reuses the same LU; the local pressure constant is pinned at the first
+    pressure dof.  Returns the SuperLU factorization."""
     if len(dom.gamma_e) == 0:
         raise ValueError(f"domain {dom.index} has no non-wall boundary facets")
-    A, B = assemble_local_stokes(dz, dom, mu, gamma_u)
+    A, B = assemble_local_stokes(dz, dom, mu, gamma_u, interior)
     nv = A.shape[0]
-    K = sp.bmat([[A, B.T], [B, None]], format="lil")
+    K = sp.bmat([[A, B.T], [B, None]], format="coo")
     # pin the pressure constant: replace the first continuity row by p_0 = 0
-    K.rows[nv] = [nv]
-    K.data[nv] = [1.0]
+    keep = K.row != nv
+    K = sp.coo_matrix((np.append(K.data[keep], 1.0), (np.append(K.row[keep], nv),
+                                                      np.append(K.col[keep], nv))), K.shape)
     try:
         return splu(K.tocsc())
     except RuntimeError as exc:
@@ -51,45 +54,36 @@ def velocity_snapshots(dz: Discretization, dom: LocalDomain,
     Each snapshot imposes a unit hat in the given component (both when
     direction is None) on the non-wall boundary (zero on walls), with the
     constant divergence source required for compatibility.  `lu` is the
-    domain's `local_stokes`; the solve stays one call per direction, because
-    the near-singular pinned system makes the snapshots sensitive to how the
-    right-hand sides are blocked.
+    domain's `local_stokes`.  The loads of all hats are built in one pass,
+    but each direction keeps its own solve call (see `DATA_PENALTY`).
     """
-    mesh = dz.mesh
+    mesh, fg, quad = dz.mesh, dz.facet_geom, dz.quad
     ge = dom.gamma_e
     sides, signs = dom.inside_side(mesh, ge)
-    nodes, gvals = hat_traces(dz, ge)
+    # momentum: the hat's Nitsche load on the scalar dofs of one component
+    fs = hat_loads(dz, dom, ge, lambda g: nitsche_rhs_values(
+        dz, ge, sides, signs, mu, gamma_u * DATA_PENALTY, g))
 
-    # geometric facet data for the loads
-    lens = dz.facet_geom.lengths[ge]
-    normals = dz.facet_geom.normals[ge] * signs[:, None]
-    in_cells = mesh.facet_cells[ge, sides]
-    local_in = np.searchsorted(dom.cells, in_cells)  # dom.cells is sorted
+    # continuity: the hat's flux through each facet, balanced by a constant
+    # divergence source
+    lens, normals = fg.lengths[ge], fg.normals[ge] * signs[:, None]
+    local_in = np.searchsorted(dom.cells, mesh.facet_cells[ge, sides])
     areas = dz.cell_geom.areas[dom.cells]
-    volume = areas.sum()
-    w = dz.quad.facet_weights
-    vdofs = dom.velocity_dofs()
+    n_nodes, ends = hat_ends(dz, ge)  # ∫ hat ds / len: w·(1 - t), w·t at a facet's ends
+    gint = np.zeros((n_nodes, len(ge)))
+    gint[ends.T, np.arange(len(ge))] = np.einsum(
+        "q,lq->l", quad.facet_weights, [1.0 - quad.facet_points, quad.facet_points])[:, None]
 
     directions = [direction] if direction is not None else [0, 1]
-    gint = np.einsum("q,lfq->lf", w, gvals)  # ∫ hat ds / len
-    rhs_cols = []
-    for r in directions:
-        for l in range(len(nodes)):
-            fs = nitsche_rhs_values(dz, ge, sides, signs, mu,
-                                    gamma_u * DATA_PENALTY, gvals[l])
-            # scalar dof 3c+k maps to velocity dof 2*(3c+k)+r
-            full = np.zeros(dz.dofs.n_velocity)
-            full[2 * np.arange(dz.dofs.n_concentration) + r] = fs
-            Fu = full[vdofs]
-            flux = float(np.sum(lens * normals[:, r] * gint[l]))
-            Fp = np.zeros(len(dom.cells))
-            np.add.at(Fp, local_in, lens * normals[:, r] * gint[l])
-            Fp -= flux / volume * areas
-            Fp[0] = 0.0  # pinned row
-            rhs_cols.append(np.concatenate([Fu, Fp]))
-
-    sols = lu.solve(np.stack(rhs_cols, axis=1))
-    return sols[:len(vdofs)].T
+    nv = 2 * fs.shape[1]
+    rhs = np.zeros((len(directions), len(fs), nv + len(dom.cells)))
+    for Fk, r in zip(rhs, directions):
+        Fk[:, r:nv:2] = fs  # scalar dof k is velocity dof 2k + r
+        flux = lens * normals[:, r] * gint
+        np.add.at(Fk[:, nv:], (np.arange(len(fs))[:, None], local_in), flux)
+        Fk[:, nv:] -= flux.sum(axis=1)[:, None] / areas.sum() * areas
+    rhs[:, :, nv] = 0.0  # pinned row
+    return lu.solve(rhs.reshape(-1, rhs.shape[2]).T)[:nv].T
 
 
 def spectral_reduce_velocity(dom: LocalDomain, label: int,
@@ -117,8 +111,10 @@ def build_velocity_space(dz: Discretization, partition: CoarsePartition,
     kind "type1" pools both directions into one spectral problem per domain
     (M modes each); "type2" keeps a per-direction family (d*M modes each).
     Each domain adds one pressure value to the reported dofs.
-    One job per domain builds its local domain, factors its local Stokes
-    system and assembles its spectral forms once for all of its directions.
+    One job per domain builds its local domain and its interior form, factors
+    its local Stokes system and assembles its spectral forms once for all of
+    its directions.  The jobs run on at most `threads` workers, and on no more
+    than the cores the process may use where the platform tells (Linux).
     """
     kind = kind.lower()
     if kind not in ("type1", "type2"):
@@ -127,17 +123,19 @@ def build_velocity_space(dz: Discretization, partition: CoarsePartition,
 
     def run(i):
         dom = LocalDomain.build(dz.mesh, partition, i)
-        lu = local_stokes(dz, dom, mu, gamma_u)
-        forms = assemble_local_velocity_forms(dz, dom, mu, gamma_u)
+        interior = local_interior_form(dz, dom, mu, gamma_u)
+        lu = local_stokes(dz, dom, mu, gamma_u, interior)
+        forms = assemble_local_velocity_forms(dz, dom, interior)
         return [spectral_reduce_velocity(
                     dom, -1 if r is None else r,
                     velocity_snapshots(dz, dom, r, mu, gamma_u, lu), forms, M)
                 for r in directions]
 
-    with ThreadPoolExecutor(max_workers=threads) as ex:
+    workers = pool_workers(threads)
+    with ThreadPoolExecutor(max_workers=workers) as ex:
         # one worker runs the jobs in this thread: a pool thread allocates
         # from its own malloc arena, which raised the peak RSS by up to 25 %
-        run_all = ex.map if threads > 1 else map
+        run_all = ex.map if workers > 1 else map
         per_domain = list(run_all(run, range(partition.n_domains)))
     return NestedSpace.stack("velocity", [b for bs in per_domain for b in bs],
                              dz.dofs.n_velocity, extra_dof=partition.n_domains)

@@ -15,9 +15,10 @@ so gradients and traces do not reuse the package's formulas.
 from math import factorial
 
 import numpy as np
-
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+from channelms import assembly as asm
 from channelms.assembly import DEFAULT_CELL_ORDER, _traces
 from channelms.dgspace import facet_points_xy, p1_values, quadrature
 from channelms.mesh import FacetMarker
@@ -501,6 +502,236 @@ def _assemble_convection(dz, u_h, interior, inflow_ids, outflow_ids, c_in, F):
     n = dofs.n_concentration
     return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(n, n)).tocsr()
+
+
+# --------------------------------------------------------------------------
+# local operators and snapshot loads assembled at global size and then
+# restricted to the domain's dofs: the path that per-domain assembly
+# replaced, kept to show that the two agree bit for bit.  The functions take
+# (and ignore) the `interior` form of the local path, so that they can stand
+# in for it in a basis build.
+# --------------------------------------------------------------------------
+
+def restrict(mat, rows, cols):
+    return mat.tocsr()[rows, :][:, cols]
+
+
+def _sd(dom):
+    return dom.scalar_dofs()
+
+
+def _masked_interior_form(dz, dom, coeff, gamma):
+    """Volume blocks of every cell, zero outside the domain, plus SIPG over
+    the domain's interior facets; full size."""
+    n = dz.dofs.n_concentration
+    mask = np.zeros(dz.mesh.n_cells, dtype=bool)
+    mask[dom.cells] = True
+    areas = np.where(mask, dz.cell_geom.areas, 0.0)
+    g = dz.cell_geom.grads
+    blocks = coeff * areas[:, None, None] * np.einsum("cik,cjk->cij", g, g)
+    entries = [asm._csr_entries(asm._blocks_to_csr(blocks, n)),
+               asm.sipg_interior(dz, dom.interior_facets, coeff, gamma)]
+    return asm._merge(entries, n)
+
+
+def restricted_interior_form(dz, dom, coeff, gamma):
+    return restrict(_masked_interior_form(dz, dom, coeff, gamma), _sd(dom), _sd(dom))
+
+
+def _full_boundary_mass(dz, dom):
+    fids = dom.boundary()
+    sides, _ = dom.inside_side(dz.mesh, fids)
+    return asm._merge([asm.facet_mass_onesided(dz, fids, sides, 1.0)], dz.dofs.n_concentration)
+
+
+def restricted_concentration_forms(dz, dom, interior):
+    """(interior, restricted full-size boundary mass)."""
+    return interior, restrict(_full_boundary_mass(dz, dom), _sd(dom), _sd(dom))
+
+
+def restricted_velocity_forms(dz, dom, interior):
+    return tuple(asm.expand_to_vector(m)
+                 for m in restricted_concentration_forms(dz, dom, interior))
+
+
+def masked_b(dz, interior, dirichlet, d_sides, d_signs, cell_mask):
+    """b(u, q) at full size, with the volume term masked to a cell subset."""
+    mesh, dofs = dz.mesh, dz.dofs
+    cg, fg, quad = dz.cell_geom, dz.facet_geom, dz.quad
+    rows, cols, vals = [], [], []
+    nc = mesh.n_cells
+    areas = np.where(cell_mask, cg.areas, 0.0)
+    vol = -areas[:, None, None] * cg.grads
+    r = np.broadcast_to(np.arange(nc)[:, None, None], vol.shape)
+    c = (6 * np.arange(nc)[:, None, None] + 2 * np.arange(3)[None, :, None]
+         + np.arange(2)[None, None, :])
+    rows.append(r.ravel()); cols.append(c.ravel()); vals.append(vol.ravel())
+    w = quad.facet_weights
+    if len(interior):
+        cells = mesh.facet_cells[interior]
+        lens = fg.lengths[interior]
+        sigma = np.array([1.0, -1.0])
+        Tr = np.stack([_traces(fg, quad, interior, np.zeros(len(interior), dtype=int)),
+                       _traces(fg, quad, interior, np.ones(len(interior), dtype=int))], axis=1)
+        phi_int = lens[:, None, None] * np.einsum("q,fsqj->fsj", w, Tr)
+        E = 0.5 * np.einsum("t,fc,ftj->ftjc", sigma, fg.normals[interior], phi_int)
+        for ps in range(2):
+            r = np.broadcast_to(cells[:, ps][:, None, None, None], E.shape)
+            cidx = (6 * cells[:, :, None, None] + 2 * np.arange(3)[None, None, :, None]
+                    + np.arange(2)[None, None, None, :])
+            rows.append(r.ravel()); cols.append(cidx.ravel()); vals.append(E.ravel())
+    if len(dirichlet):
+        cells = mesh.facet_cells[dirichlet, d_sides]
+        lens = fg.lengths[dirichlet]
+        normals = fg.normals[dirichlet] * np.asarray(d_signs, dtype=float)[:, None]
+        Tr = _traces(fg, quad, dirichlet, d_sides)
+        phi_int = lens[:, None] * np.einsum("q,fqj->fj", w, Tr)
+        E = np.einsum("fc,fj->fjc", normals, phi_int)
+        r = np.broadcast_to(cells[:, None, None], E.shape)
+        cidx = (6 * cells[:, None, None] + 2 * np.arange(3)[None, :, None]
+                + np.arange(2)[None, None, :])
+        rows.append(r.ravel()); cols.append(cidx.ravel()); vals.append(E.ravel())
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(dofs.n_pressure, dofs.n_velocity)).tocsr()
+
+
+def restricted_stokes(dz, dom, mu, gamma_u):
+    bd = dom.boundary()
+    sides, signs = dom.inside_side(dz.mesh, bd)
+    A_s = asm._merge([asm._csr_entries(_masked_interior_form(dz, dom, mu, gamma_u)),
+                      asm.sipg_onesided(dz, bd, sides, signs, mu, gamma_u * asm.DATA_PENALTY)],
+                     dz.dofs.n_concentration)
+    mask = np.zeros(dz.mesh.n_cells, dtype=bool)
+    mask[dom.cells] = True
+    B = masked_b(dz, dom.interior_facets, bd, sides, signs, mask)
+    sd = _sd(dom)
+    vd = (6 * dom.cells[:, None] + np.arange(6)).ravel()
+    return asm.expand_to_vector(restrict(A_s, sd, sd)), restrict(B, dom.cells, vd)
+
+
+def pinned_stokes(A, B):
+    """The saddle matrix with its first continuity row replaced by p_0 = 0,
+    through LIL."""
+    nv = A.shape[0]
+    K = sp.bmat([[A, B.T], [B, None]], format="lil")
+    K.rows[nv] = [nv]
+    K.data[nv] = [1.0]
+    return K.tocsc()
+
+
+def restricted_local_stokes(dz, dom, mu, gamma_u, interior):
+    """The LU of the pinned `restricted_stokes`; the full-size system has its
+    own interior form, so `interior` is not used."""
+    return splu(pinned_stokes(*restricted_stokes(dz, dom, mu, gamma_u)))
+
+
+def restricted_diffusion_with_bc(dz, dom, D, gamma_c, dirichlet_fids, robin_fids,
+                                 alpha, interior):
+    """The operator assembled at full size, with its own interior form (so
+    `interior` is not used), restricted."""
+    entries = [asm._csr_entries(_masked_interior_form(dz, dom, D, gamma_c))]
+    if len(dirichlet_fids):
+        sides, signs = dom.inside_side(dz.mesh, dirichlet_fids)
+        entries.append(asm.sipg_onesided(dz, dirichlet_fids, sides, signs, D, gamma_c))
+    if len(robin_fids) and alpha != 0.0:
+        sides, _ = dom.inside_side(dz.mesh, robin_fids)
+        entries.append(asm.facet_mass_onesided(dz, robin_fids, sides, alpha))
+    sd = _sd(dom)
+    return restrict(asm._merge(entries, dz.dofs.n_concentration), sd, sd)
+
+
+def restricted_mass(dz, dom):
+    return restrict(asm.scalar_mass(dz), _sd(dom), _sd(dom))
+
+
+def restricted_upwind_convection(dz, dom, u_h):
+    """The domain's convection on a plan over every cell (global numbering),
+    restricted."""
+    bd = dom.boundary()
+    sides, signs = dom.inside_side(dz.mesh, bd)
+    plan = asm.ConvectionPlan.build(dz, np.arange(dz.mesh.n_cells),
+                                    dom.interior_facets, bd, sides, signs)
+    return restrict(plan.assemble(dz, u_h), _sd(dom), _sd(dom))
+
+
+def restricted_local_operators(dz, dom, variant, D, gamma_c, u_ms=None, tau=None):
+    M = restricted_mass(dz, dom)
+    transient = ()
+    if variant == "timevelocity":
+        transient = (M / tau, restricted_upwind_convection(dz, dom, u_ms))
+    return restricted_interior_form(dz, dom, D, gamma_c), M, transient
+
+
+def hat_traces(dz, fids):
+    """(nodes, gvals): the boundary trace nodes of the facets `fids` and, in
+    gvals (n_nodes, n_facets, nq), the trace of each node's hat along each
+    facet, filled one facet at a time."""
+    t = dz.quad.facet_points
+    pairs = dz.mesh.facets[fids]
+    nodes = np.unique(pairs)
+    gvals = np.zeros((len(nodes), len(fids), len(t)))
+    pos = {n: k for k, n in enumerate(nodes)}
+    for j, (a, b) in enumerate(pairs):
+        gvals[pos[a], j] = 1.0 - t
+        gvals[pos[b], j] = t
+    return nodes, gvals
+
+
+def full_load(n, entries):
+    out = np.zeros(n)
+    np.add.at(out, *entries)
+    return out
+
+
+def hat_loads_one_by_one(dz, dom, fids, load):
+    """One full-size load per hat, restricted to the domain's dofs."""
+    _, gvals = hat_traces(dz, fids)
+    sd = _sd(dom)
+    return np.stack([full_load(dz.dofs.n_concentration, load(g))[sd] for g in gvals])
+
+
+def velocity_snapshots_one_by_one(dz, dom, direction, mu, gamma_u, lu):
+    """Velocity snapshots from one full-size load per hat and direction."""
+    mesh = dz.mesh
+    ge = dom.gamma_e
+    sides, signs = dom.inside_side(mesh, ge)
+    _, gvals = hat_traces(dz, ge)
+    lens = dz.facet_geom.lengths[ge]
+    normals = dz.facet_geom.normals[ge] * signs[:, None]
+    local_in = np.searchsorted(dom.cells, mesh.facet_cells[ge, sides])
+    areas = dz.cell_geom.areas[dom.cells]
+    volume = areas.sum()
+    vdofs = (6 * dom.cells[:, None] + np.arange(6)).ravel()
+    gint = np.einsum("q,lfq->lf", dz.quad.facet_weights, gvals)
+    rhs_cols = []
+    for r in [direction] if direction is not None else [0, 1]:
+        for l in range(len(gvals)):
+            fs = full_load(dz.dofs.n_concentration, asm.nitsche_rhs_values(
+                dz, ge, sides, signs, mu, gamma_u * asm.DATA_PENALTY, gvals[l]))
+            full = np.zeros(dz.dofs.n_velocity)
+            full[2 * np.arange(dz.dofs.n_concentration) + r] = fs
+            flux = float(np.sum(lens * normals[:, r] * gint[l]))
+            Fp = np.zeros(len(dom.cells))
+            np.add.at(Fp, local_in, lens * normals[:, r] * gint[l])
+            Fp -= flux / volume * areas
+            Fp[0] = 0.0
+            rhs_cols.append(np.concatenate([full[vdofs], Fp]))
+    return lu.solve(np.stack(rhs_cols, axis=1))[:len(vdofs)].T
+
+
+# monkeypatch targets that put the restricted path in place of the local one
+# in a basis build
+RESTRICTED_PATH = {
+    "channelms.velocity_basis.local_interior_form": restricted_interior_form,
+    "channelms.velocity_basis.assemble_local_velocity_forms": restricted_velocity_forms,
+    "channelms.velocity_basis.local_stokes": restricted_local_stokes,
+    "channelms.velocity_basis.velocity_snapshots": velocity_snapshots_one_by_one,
+    "channelms.transport_basis.local_operators": restricted_local_operators,
+    "channelms.transport_basis.local_diffusion_with_bc": restricted_diffusion_with_bc,
+    "channelms.transport_basis.assemble_local_concentration_forms":
+        restricted_concentration_forms,
+    "channelms.transport_basis.hat_loads": hat_loads_one_by_one,
+}
 
 
 # --------------------------------------------------------------------------

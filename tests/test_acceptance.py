@@ -20,7 +20,7 @@ from channelms.assembly import (DATA_PENALTY, Discretization, LocalDomain,
                                 assemble_local_concentration_forms,
                                 assemble_local_velocity_forms,
                                 assemble_transport, assemble_local_stokes,
-                                local_diffusion_with_bc)
+                                local_diffusion_with_bc, local_interior_form)
 from channelms.cli import load_preset
 from channelms.coarse_solver import (pressure_space, project_flow,
                                      project_transport, solve_coarse_flow,
@@ -32,7 +32,7 @@ from channelms.harness import ExperimentConfig, inflow_profile, run_experiment
 from channelms.mesh import generate_channel, partition_coarse
 from channelms.transport_basis import (build_concentration_space,
                                        concentration_snapshots,
-                                       expected_transport_dof)
+                                       expected_transport_dof, local_operators)
 from channelms.velocity_basis import (build_velocity_space, expected_flow_dof,
                                       local_stokes, velocity_snapshots)
 from test_spectral import check_spectral
@@ -90,10 +90,12 @@ def test_criterion_2_oracle_equivalence(tiny_dz, tiny_partition):
         dom = LocalDomain.build(tiny_dz.mesh, tiny_partition, i)
         cells = tiny_partition.domain_cells(i)
         A = local_diffusion_with_bc(tiny_dz, dom, 0.01, 8.0, dom.gamma_e,
-                                    dom.gamma_w, alpha=0.5)
+                                    dom.gamma_w, 0.5,
+                                    local_interior_form(tiny_dz, dom, 0.01, 8.0))
         worst = max(worst, diff(A, oracles.local_diffusion_with_bc(
             md, cells, 0.01, 8.0, dom.gamma_e, dom.gamma_w, 0.5)))
-        As, Bs = assemble_local_stokes(tiny_dz, dom, mu=1.0, gamma_u=8.0)
+        As, Bs = assemble_local_stokes(tiny_dz, dom, 1.0, 8.0,
+                                       local_interior_form(tiny_dz, dom, 1.0, 8.0))
         worst = max(worst, diff(Bs, oracles.local_stokes_b(md, cells)))
         bd = dom.boundary()
         sides, signs = dom.inside_side(tiny_dz.mesh, bd)
@@ -219,13 +221,15 @@ def test_criterion_7_spectral_verification(small_dz, small_partition, tmp_path):
     ok = True
     try:
         dom = LocalDomain.build(small_dz.mesh, small_partition, 1)
+        interior = local_interior_form(small_dz, dom, 1.0, 8.0)
         vsnap = velocity_snapshots(small_dz, dom, 0, 1.0, 8.0,
-                                   local_stokes(small_dz, dom, 1.0, 8.0))
-        A, S = assemble_local_velocity_forms(small_dz, dom, 1.0, 8.0)
+                                   local_stokes(small_dz, dom, 1.0, 8.0, interior))
+        A, S = assemble_local_velocity_forms(small_dz, dom, interior)
         check_spectral(vsnap, A.toarray(), S.toarray(), 5)
+        ops = local_operators(small_dz, dom, "elliptic", 0.05, 8.0)
         csnap = concentration_snapshots(small_dz, dom, "interface", "rbc",
-                                        "elliptic", 0.05, 0.01, 8.0)
-        A, S = assemble_local_concentration_forms(small_dz, dom, 0.05, 8.0)
+                                        "elliptic", 0.05, 0.01, 8.0, *ops)
+        A, S = assemble_local_concentration_forms(small_dz, dom, ops[0])
         check_spectral(csnap, A.toarray(), S.toarray(), 5)
         detail.append("eigenpair residuals/orthonormality verified")
     except AssertionError as exc:

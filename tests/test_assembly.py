@@ -14,7 +14,7 @@ from channelms.assembly import (DATA_PENALTY, Discretization, LocalDomain,
                                 assemble_local_stokes,
                                 assemble_local_velocity_forms,
                                 assemble_transport, expand_to_vector,
-                                local_diffusion_with_bc,
+                                local_diffusion_with_bc, local_interior_form,
                                 local_upwind_convection, scalar_mass,
                                 scalar_stiffness)
 from channelms.harness import inflow_profile, ExperimentConfig
@@ -108,8 +108,8 @@ def test_convection_plan_follows_facet_markers(small_mesh, rng):
 def test_local_concentration_forms_oracle(tiny_dz, md, tiny_partition):
     for i in range(tiny_partition.n_domains):
         dom = LocalDomain.build(tiny_dz.mesh, tiny_partition, i)
-        A, S = assemble_local_concentration_forms(tiny_dz, dom, D=0.4,
-                                                  gamma_c=8.0)
+        A, S = assemble_local_concentration_forms(
+            tiny_dz, dom, local_interior_form(tiny_dz, dom, 0.4, 8.0))
         cells = tiny_partition.domain_cells(i)
         assert _diff(A, oracles.local_interior_form(md, cells, 0.4, 8.0)) < TOL
         assert _diff(S, oracles.local_boundary_mass(md, cells)) < TOL
@@ -118,7 +118,8 @@ def test_local_concentration_forms_oracle(tiny_dz, md, tiny_partition):
 def test_local_velocity_forms_oracle(tiny_dz, md, tiny_partition):
     for i in range(tiny_partition.n_domains):
         dom = LocalDomain.build(tiny_dz.mesh, tiny_partition, i)
-        A, S = assemble_local_velocity_forms(tiny_dz, dom, mu=2.0, gamma_u=8.0)
+        A, S = assemble_local_velocity_forms(
+            tiny_dz, dom, local_interior_form(tiny_dz, dom, 2.0, 8.0))
         cells = tiny_partition.domain_cells(i)
         assert _diff(A, oracles.expand_vector(
             oracles.local_interior_form(md, cells, 2.0, 8.0))) < TOL
@@ -130,8 +131,9 @@ def test_local_diffusion_with_bc_oracle(tiny_dz, md, tiny_partition):
     for i in range(tiny_partition.n_domains):
         dom = LocalDomain.build(tiny_dz.mesh, tiny_partition, i)
         cells = tiny_partition.domain_cells(i)
-        A = local_diffusion_with_bc(tiny_dz, dom, 0.01, 8.0,
-                                    dom.gamma_e, dom.gamma_w, alpha=0.5)
+        A = local_diffusion_with_bc(tiny_dz, dom, 0.01, 8.0, dom.gamma_e,
+                                    dom.gamma_w, 0.5,
+                                    local_interior_form(tiny_dz, dom, 0.01, 8.0))
         ref = oracles.local_diffusion_with_bc(md, cells, 0.01, 8.0,
                                               dom.gamma_e, dom.gamma_w, 0.5)
         assert _diff(A, ref) < TOL
@@ -141,7 +143,8 @@ def test_local_stokes_oracle(tiny_dz, md, tiny_partition):
     for i in range(tiny_partition.n_domains):
         dom = LocalDomain.build(tiny_dz.mesh, tiny_partition, i)
         cells = tiny_partition.domain_cells(i)
-        A, B = assemble_local_stokes(tiny_dz, dom, mu=1.0, gamma_u=8.0)
+        A, B = assemble_local_stokes(tiny_dz, dom, 1.0, 8.0,
+                                     local_interior_form(tiny_dz, dom, 1.0, 8.0))
         bd = dom.boundary()
         sides, signs = dom.inside_side(tiny_dz.mesh, bd)
         As = oracles.local_interior_form(md, cells, 1.0, 8.0)
@@ -161,8 +164,7 @@ def test_local_upwind_convection_oracle(tiny_dz, md, tiny_partition):
     for i in range(tiny_partition.n_domains):
         dom = LocalDomain.build(tiny_dz.mesh, tiny_partition, i)
         cells = tiny_partition.domain_cells(i)
-        sd = dom.scalar_dofs()
-        C = local_upwind_convection(tiny_dz, dom, u_h)[sd, :][:, sd]
+        C = local_upwind_convection(tiny_dz, dom, u_h)
         assert _diff(C, oracles.local_convection_constant_u(md, cells, U_CONST)) < TOL
 
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from channelms.assembly import (LocalDomain,
-                                assemble_local_concentration_forms, hat_traces)
+                                assemble_local_concentration_forms)
 from channelms.spectral import NestedSpace
 from channelms.transport_basis import (build_concentration_space,
                                        concentration_snapshots,
-                                       expected_transport_dof, interior_basis)
+                                       expected_transport_dof, interior_basis,
+                                       local_operators)
 from channelms.velocity_basis import build_velocity_space
 
 import oracles
@@ -28,6 +29,11 @@ def md(small_mesh):
 
 def _dom(small_dz, small_partition, i):
     return LocalDomain.build(small_dz.mesh, small_partition, i)
+
+
+def _ops(dz, dom, variant="elliptic", diffusivity=D, u_ms=None, tau=None):
+    """The domain's `local_operators`: interior form, mass, transient part."""
+    return local_operators(dz, dom, variant, diffusivity, GAMMA, u_ms, tau)
 
 
 def _hat_endpoints(dz, dom, fids):
@@ -73,28 +79,31 @@ def _oracle_facet_rhs(md, dom, fids, sides, coeff, g):
 
 def test_argument_validation(small_dz, small_partition):
     dom = _dom(small_dz, small_partition, 0)
+    ops = _ops(small_dz, dom)
     with pytest.raises(ValueError, match="family"):
         concentration_snapshots(small_dz, dom, "corner", "rbc",
-                                "elliptic", D, ALPHA, GAMMA)
+                                "elliptic", D, ALPHA, GAMMA, *ops)
     with pytest.raises(ValueError, match="boundary condition"):
         concentration_snapshots(small_dz, dom, "wall", "abc",
-                                "elliptic", D, ALPHA, GAMMA)
+                                "elliptic", D, ALPHA, GAMMA, *ops)
     with pytest.raises(ValueError, match="variant"):
         concentration_snapshots(small_dz, dom, "wall", "rbc",
-                                "steady", D, ALPHA, GAMMA)
+                                "steady", D, ALPHA, GAMMA, *ops)
     with pytest.raises(ValueError, match="velocity"):
         concentration_snapshots(small_dz, dom, "wall", "rbc",
-                                "timevelocity", D, ALPHA, GAMMA)
+                                "timevelocity", D, ALPHA, GAMMA, *ops)
     with pytest.raises(ValueError, match="velocity"):
-        interior_basis(small_dz, dom, "timevelocity", D, GAMMA)
+        interior_basis(small_dz, dom, "timevelocity", D, GAMMA, *ops)
+    with pytest.raises(ValueError, match="velocity"):
+        _ops(small_dz, dom, "timevelocity")
 
 
 def test_snapshot_counts_by_family(small_dz, small_partition):
     dom = _dom(small_dz, small_partition, 1)
     for family, fids in (("interface", dom.gamma_e), ("wall", dom.gamma_w),
                          ("pooled", dom.boundary())):
-        ss = concentration_snapshots(small_dz, dom, family,
-                                     "rbc", "elliptic", D, ALPHA, GAMMA)
+        ss = concentration_snapshots(small_dz, dom, family, "rbc", "elliptic",
+                                     D, ALPHA, GAMMA, *_ops(small_dz, dom))
         assert len(ss) == len(np.unique(small_dz.mesh.facets[fids]))
         assert ss.shape[1] == 3 * len(dom.cells)
 
@@ -106,8 +115,8 @@ def test_elliptic_snapshots_solve_local_problem(small_dz, small_partition, md,
                                                 family, bc):
     # every snapshot satisfies an independently assembled dense local system
     dom = _dom(small_dz, small_partition, 1)
-    ss = concentration_snapshots(small_dz, dom, family, bc,
-                                 "elliptic", D, ALPHA, GAMMA)
+    ss = concentration_snapshots(small_dz, dom, family, bc, "elliptic",
+                                 D, ALPHA, GAMMA, *_ops(small_dz, dom))
     ge, gw = dom.gamma_e, dom.gamma_w
     if family == "interface":
         data, nitsche = ge, True
@@ -123,7 +132,7 @@ def test_elliptic_snapshots_solve_local_problem(small_dz, small_partition, md,
     A = oracles.local_diffusion_with_bc(md, dom.cells, D, GAMMA, dirichlet,
                                         robin, ALPHA)
     nodes, g = _hat_endpoints(small_dz, dom, data)
-    assert np.array_equal(nodes, hat_traces(small_dz, data)[0])
+    assert np.array_equal(nodes, oracles.hat_traces(small_dz, data)[0])
     sides, signs = dom.inside_side(small_dz.mesh, data)
     scale = np.abs(A).max()
     for l in range(0, len(nodes), 4):
@@ -140,8 +149,8 @@ def test_neumann_wall_family_energy_identity(small_dz, small_partition, md):
     # the singular pure-flux operator is closed with a zero-mean constraint:
     # each snapshot has zero mass-weighted mean and satisfies c.(A c) = c.F
     dom = _dom(small_dz, small_partition, 1)
-    ss = concentration_snapshots(small_dz, dom, "wall", "nbc",
-                                 "elliptic", D, ALPHA, GAMMA)
+    ss = concentration_snapshots(small_dz, dom, "wall", "nbc", "elliptic",
+                                 D, ALPHA, GAMMA, *_ops(small_dz, dom))
     A = oracles.local_diffusion_with_bc(md, dom.cells, D, GAMMA,
                                         np.array([], dtype=int),
                                         np.array([], dtype=int), 0.0)
@@ -158,15 +167,17 @@ def test_neumann_wall_family_energy_identity(small_dz, small_partition, md):
 
 def test_robin_zero_rate_kills_wall_snapshots(small_dz, small_partition):
     u0 = np.zeros(small_dz.dofs.n_velocity)
-    ss = concentration_snapshots(small_dz, _dom(small_dz, small_partition, 1),
-                                 "wall", "rbc", "timevelocity", D, 0.0, GAMMA,
+    dom = _dom(small_dz, small_partition, 1)
+    ss = concentration_snapshots(small_dz, dom, "wall", "rbc", "timevelocity",
+                                 D, 0.0, GAMMA,
+                                 *_ops(small_dz, dom, "timevelocity", u_ms=u0, tau=0.1),
                                  u_ms=u0, tau=0.1)
     assert np.abs(ss).max() == 0.0
 
 
 def test_bubble_matches_dense_solve(small_dz, small_partition, md):
     dom = _dom(small_dz, small_partition, 1)
-    b = interior_basis(small_dz, dom, "elliptic", D, GAMMA)
+    b = interior_basis(small_dz, dom, "elliptic", D, GAMMA, *_ops(small_dz, dom))
     bd = dom.boundary()
     A = oracles.local_diffusion_with_bc(md, dom.cells, D, GAMMA, bd,
                                         np.array([], dtype=int), 0.0)
@@ -182,20 +193,24 @@ def test_bubble_invariances(small_dz, small_partition):
     # the normalized elliptic bubble does not depend on the diffusivity, and
     # the transient bubble converges to it as the time step grows
     dom = _dom(small_dz, small_partition, 2)
-    b1 = interior_basis(small_dz, dom, "elliptic", 0.05, GAMMA)
-    b2 = interior_basis(small_dz, dom, "elliptic", 0.7, GAMMA)
+    b1 = interior_basis(small_dz, dom, "elliptic", 0.05, GAMMA,
+                        *_ops(small_dz, dom, diffusivity=0.05))
+    b2 = interior_basis(small_dz, dom, "elliptic", 0.7, GAMMA,
+                        *_ops(small_dz, dom, diffusivity=0.7))
     assert np.abs(b1 - b2).max() < 1e-10
     u0 = np.zeros(small_dz.dofs.n_velocity)
-    bt = interior_basis(small_dz, dom, "timevelocity", 0.05,
-                        GAMMA, u_ms=u0, tau=1e8)
+    bt = interior_basis(small_dz, dom, "timevelocity", 0.05, GAMMA,
+                        *_ops(small_dz, dom, "timevelocity", 0.05, u0, 1e8),
+                        u_ms=u0, tau=1e8)
     assert np.abs(bt - b1).max() < 1e-6
 
 
 def test_spectral_checks_on_real_domain(small_dz, small_partition):
     dom = _dom(small_dz, small_partition, 1)
-    ss = concentration_snapshots(small_dz, dom, "interface",
-                                 "rbc", "elliptic", D, ALPHA, GAMMA)
-    A, S = assemble_local_concentration_forms(small_dz, dom, D, GAMMA)
+    ops = _ops(small_dz, dom)
+    ss = concentration_snapshots(small_dz, dom, "interface", "rbc", "elliptic",
+                                 D, ALPHA, GAMMA, *ops)
+    A, S = assemble_local_concentration_forms(small_dz, dom, ops[0])
     check_spectral(ss, A.toarray(), S.toarray(), 4)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from channelms.assembly import (LocalDomain, assemble_local_velocity_forms,
-                                hat_traces)
+                                local_interior_form)
 from channelms.mesh import CoarsePartition
 from channelms.spectral import NestedSpace
 from channelms.velocity_basis import (build_velocity_space, expected_flow_dof,
@@ -16,6 +16,15 @@ from channelms.velocity_basis import (build_velocity_space, expected_flow_dof,
 import oracles
 from helpers import assert_rows_close, closed_copy
 from test_spectral import check_spectral
+
+
+def _stokes(dz, dom):
+    """The domain's factored local Stokes system (mu 1, penalty 8)."""
+    return local_stokes(dz, dom, 1.0, 8.0, local_interior_form(dz, dom, 1.0, 8.0))
+
+
+def _forms(dz, dom):
+    return assemble_local_velocity_forms(dz, dom, local_interior_form(dz, dom, 1.0, 8.0))
 
 
 def _trace_errors(dz, dom, snap, gvals_l, direction):
@@ -48,7 +57,7 @@ def dom(small_dz, small_partition):
 
 @pytest.fixture(scope="module")
 def lu(small_dz, dom):
-    return local_stokes(small_dz, dom, 1.0, 8.0)
+    return _stokes(small_dz, dom)
 
 
 @pytest.fixture(scope="module")
@@ -58,14 +67,14 @@ def snaps0(small_dz, dom, lu):
 
 def test_snapshot_count_per_direction(small_dz, dom, lu, snaps0):
     nodes = np.unique(small_dz.mesh.facets[dom.gamma_e])
-    assert np.array_equal(hat_traces(small_dz, dom.gamma_e)[0], nodes)
+    assert np.array_equal(oracles.hat_traces(small_dz, dom.gamma_e)[0], nodes)
     assert len(snaps0) == len(nodes)
     pooled = velocity_snapshots(small_dz, dom, None, 1.0, 8.0, lu)
     assert len(pooled) == 2 * len(nodes)
 
 
 def test_snapshot_traces_match_hat_data(small_dz, dom, snaps0):
-    _, gvals = hat_traces(small_dz, dom.gamma_e)
+    _, gvals = oracles.hat_traces(small_dz, dom.gamma_e)
     for l in range(len(snaps0)):
         e, w = _trace_errors(small_dz, dom, snaps0[l], gvals[l], 0)
         assert e < 1e-6, (l, e)
@@ -80,7 +89,7 @@ def test_snapshot_discrete_divergence_is_compatible_constant(small_dz, dom,
     md = oracles.MeshData(mesh)
     Bo = oracles.local_stokes_b(md, dom.cells)
     w = small_dz.quad.facet_weights
-    _, gvals = hat_traces(small_dz, dom.gamma_e)
+    _, gvals = oracles.hat_traces(small_dz, dom.gamma_e)
     sides, signs = dom.inside_side(mesh, dom.gamma_e)
     in_cells = mesh.facet_cells[dom.gamma_e, sides]
     pos = {c: k for k, c in enumerate(dom.cells)}
@@ -102,7 +111,7 @@ def test_snapshot_discrete_divergence_is_compatible_constant(small_dz, dom,
 
 
 def test_spectral_checks_on_real_domain(small_dz, dom, snaps0):
-    A, S = assemble_local_velocity_forms(small_dz, dom, 1.0, 8.0)
+    A, S = _forms(small_dz, dom)
     check_spectral(snaps0, A.toarray(), S.toarray(), 5)
 
 
@@ -146,7 +155,7 @@ def test_wall_only_domain_rejected(small_mesh):
     part = CoarsePartition(1, np.zeros(small_mesh.n_cells, dtype=np.int64),
                            "structured")
     with pytest.raises(ValueError, match="no non-wall boundary"):
-        local_stokes(dz, LocalDomain.build(dz.mesh, part, 0), 1.0, 8.0)
+        _stokes(dz, LocalDomain.build(dz.mesh, part, 0))
 
 
 @pytest.mark.parametrize("kind", ["type1", "type2"])
@@ -158,10 +167,10 @@ def test_factor_once_matches_per_direction_factorization(small_dz,
 
     def own(dom, r):  # a fresh factorization for one direction
         return velocity_snapshots(small_dz, dom, r, 1.0, 8.0,
-                                  local_stokes(small_dz, dom, 1.0, 8.0))
+                                  _stokes(small_dz, dom))
 
     dom = LocalDomain.build(small_dz.mesh, small_partition, 1)
-    lu = local_stokes(small_dz, dom, 1.0, 8.0)
+    lu = _stokes(small_dz, dom)
     for r in directions:
         shared = velocity_snapshots(small_dz, dom, r, 1.0, 8.0, lu)
         assert np.array_equal(own(dom, r), shared)
@@ -169,7 +178,7 @@ def test_factor_once_matches_per_direction_factorization(small_dz,
             for i in range(small_partition.n_domains)]
     bases = [spectral_reduce_velocity(
                  d, -1 if r is None else r, own(d, r),
-                 assemble_local_velocity_forms(small_dz, d, 1.0, 8.0), 3)
+                 _forms(small_dz, d), 3)
              for d in doms for r in directions]
     ref = NestedSpace.stack("velocity", bases, small_dz.dofs.n_velocity,
                             small_partition.n_domains)
