@@ -1,15 +1,19 @@
 """Global and local IPDG operator assembly.
 
 All facet machinery is written against "batches": interior facets couple the
-two adjacent cells through jump/average terms, while one-sided batches carry a
-(facet, side, orientation) triple so the same code serves global boundary
-facets and local-domain boundaries (where a globally interior facet is seen
-from one side only); local operators land on the domain's own dofs.  Scalar
-P1 operators are assembled first; vector (velocity) operators are
-component-wise copies of the scalar blocks.  The upwind convection, assembled
-once per velocity, keeps its velocity-independent half in a `ConvectionPlan`
-(the global one cached on the `Discretization`): a call computes the values
-and scatters them onto the fixed pattern.
+two adjacent cells through jump/average terms, while a one-sided batch is a
+pair (facets, sides), so the same kernels serve global boundary facets (side
+0, the only cell) and local-domain boundaries (where a globally interior facet
+is seen from the side inside the domain); local operators land on the
+domain's own dofs.  The side fixes the orientation: a facet's stored normal
+points from side 0 to side 1, so the outward normal of side s is
+(1 - 2 s) times it (`outward_normals`).  Sides may be scalars that broadcast,
+as for global boundaries and the two sides of a two-sided stack.  Scalar P1
+operators are assembled first; vector (velocity) operators are component-wise
+copies of the scalar blocks.  The upwind convection, assembled once per
+velocity, keeps its velocity-independent half in a `ConvectionPlan` (the
+global one cached on the `Discretization`): a call computes the values and
+scatters them onto the fixed pattern.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .dgspace import CellGeometry, DofMaps, FacetGeometry, Quadrature, facet_points_xy, p1_values, quadrature
+from .dgspace import CellGeometry, DofMaps, FacetGeometry, Quadrature, p1_values, quadrature
 from .mesh import CoarsePartition, FacetMarker, Mesh
 
 DEFAULT_CELL_ORDER = 4
@@ -85,8 +89,7 @@ class Discretization:
         if cached is None or not np.array_equal(cached[0], markers):
             ends = np.flatnonzero(np.isin(markers, (FacetMarker.OUTFLOW, FacetMarker.INFLOW)))
             cached = (markers.copy(), ConvectionPlan.build(
-                self, np.arange(self.mesh.n_cells), self.mesh.interior_facets(), ends,
-                np.zeros(len(ends), dtype=int), np.ones(len(ends))))
+                self, np.arange(self.mesh.n_cells), self.mesh.interior_facets(), ends, 0))
             self.__dict__["_convection"] = cached
         return cached[1]
 
@@ -129,6 +132,11 @@ def _traces(fg: FacetGeometry, quad: Quadrature, fids, sides):
     return Tr
 
 
+def outward_normals(fg: FacetGeometry, fids, sides) -> np.ndarray:
+    """(nF, 2) normals of the facets `fids` pointing out of the cell on `sides`."""
+    return fg.normals[fids] * (1 - 2 * np.asarray(sides))[..., None]
+
+
 def _normal_derivs(cg: CellGeometry, normals, cells):
     """(nF, 3) normal derivative of each P1 basis function, constant per cell."""
     return np.einsum("fkc,fc->fk", cg.grads[cells], normals)
@@ -148,8 +156,7 @@ def sipg_interior(dz: Discretization, fids: np.ndarray, coeff: float, gamma: flo
     normals = fg.normals[fids]
     sigma = np.array([1.0, -1.0])
 
-    Tr = np.stack([_traces(fg, quad, fids, np.zeros(len(fids), dtype=int)),
-                   _traces(fg, quad, fids, np.ones(len(fids), dtype=int))], axis=1)  # (nF,2,nq,3)
+    Tr = np.stack([_traces(fg, quad, fids, 0), _traces(fg, quad, fids, 1)], axis=1)  # (nF,2,nq,3)
     dn = np.stack([_normal_derivs(cg, normals, cells[:, 0]),
                    _normal_derivs(cg, normals, cells[:, 1])], axis=1)  # (nF,2,3)
 
@@ -172,18 +179,16 @@ def sipg_interior(dz: Discretization, fids: np.ndarray, coeff: float, gamma: flo
     return rows.ravel(), cols.ravel(), E.ravel()
 
 
-def sipg_onesided(dz: Discretization, fids, sides, signs, coeff: float, gamma: float):
-    """Single-sided (weak Dirichlet) interior-penalty entries.
-
-    `signs` flips the stored facet normal so it points out of the chosen side.
-    """
+def sipg_onesided(dz: Discretization, fids, sides, coeff: float, gamma: float):
+    """Single-sided (weak Dirichlet) interior-penalty entries on the chosen
+    side of each facet."""
     if len(fids) == 0:
         return _empty_entries()
     mesh, cg, fg, quad = dz.mesh, dz.cell_geom, dz.facet_geom, dz.quad
     w = quad.facet_weights
     cells = mesh.facet_cells[fids, sides]
     lens = fg.lengths[fids]
-    normals = fg.normals[fids] * np.asarray(signs, dtype=float)[:, None]
+    normals = outward_normals(fg, fids, sides)
 
     Tr = _traces(fg, quad, fids, sides)  # (nF,nq,3)
     dn = _normal_derivs(cg, normals, cells)
@@ -271,8 +276,10 @@ def assemble_flow(dz: Discretization, mu: float, rho: float, gamma_u: float,
                   inflow) -> FlowOperators:
     """Assemble the IPDG Stokes operators.
 
-    `inflow(x)` returns the (nq, 2) boundary velocity on inflow facets.  Facet
-    terms run over all facets except outflow (the do-nothing boundary).
+    `inflow(x)` returns the (n, 2) boundary velocity at n points.  Facet terms
+    run over all facets except outflow (the do-nothing boundary); the inflow
+    data enters by the Nitsche load of each velocity component and the
+    continuity load  ∫ (g·n) q.
     """
     mesh, dofs = dz.mesh, dz.dofs
     interior = mesh.interior_facets()
@@ -282,22 +289,25 @@ def assemble_flow(dz: Discretization, mu: float, rho: float, gamma_u: float,
         warnings.warn("no inflow facets: flow is driven by walls only")
 
     dirichlet = np.concatenate([inflow_ids, wall_ids])
-    d_sides = np.zeros(len(dirichlet), dtype=int)
-    d_signs = np.ones(len(dirichlet))
 
     entries = [
         _csr_entries(scalar_stiffness(dz, mu)),
         sipg_interior(dz, interior, mu, gamma_u),
-        sipg_onesided(dz, dirichlet, d_sides, d_signs, mu, gamma_u),
+        sipg_onesided(dz, dirichlet, 0, mu, gamma_u),
     ]
     A_scalar = _merge(entries, dofs.n_concentration)
     A = expand_to_vector(A_scalar)
     M = expand_to_vector(scalar_mass(dz, rho))
-    B = _assemble_b(dz, interior, dirichlet, d_sides, d_signs)
+    B = _assemble_b(dz, interior, dirichlet, 0)
 
+    g = _facet_data(dz, inflow_ids, inflow)  # (nF, nq, 2)
     Fu = np.zeros(dofs.n_velocity)
-    Fp = np.zeros(dofs.n_pressure)
-    _flow_rhs(dz, inflow_ids, mu, gamma_u, inflow, Fu, Fp)
+    for comp in range(2):  # scalar dof k is velocity dof 2k + comp
+        Fu[comp::2] = _load(dofs.n_concentration, nitsche_rhs_values(
+            dz, inflow_ids, 0, mu, gamma_u, g[..., comp]))
+    flux = dz.facet_geom.lengths[inflow_ids] * np.einsum(
+        "q,fqd,fd->f", dz.quad.facet_weights, g, outward_normals(dz.facet_geom, inflow_ids, 0))
+    Fp = _load(dofs.n_pressure, (mesh.facet_cells[inflow_ids, 0], flux))
     return FlowOperators(M=M, A=A, B=B, Fu=Fu, Fp=Fp)
 
 
@@ -315,14 +325,13 @@ def _merge(entry_list, n) -> sp.csr_matrix:
     return out
 
 
-def _assemble_b(dz: Discretization, interior, dirichlet, d_sides, d_signs,
+def _assemble_b(dz: Discretization, interior, dirichlet, sides,
                 cells=None) -> sp.csr_matrix:
-    """b(u, q) = -sum_K ∫ q div u + sum_E ∫ {q} [u]·n  (facets minus outflow).
+    """b(u, q) = -sum_K ∫ q div u + sum_E ∫ {q} [u]·n  (facets minus outflow),
+    with the one-sided batch (dirichlet, sides).
 
-    `d_sides`/`d_signs` generalize the one-sided batch to local-domain
-    boundaries; the sorted `cells` of a domain restrict the volume term to
-    them and number its dofs by rank (pressure rank(c), velocity
-    6 rank(c) + j).
+    The sorted `cells` of a domain restrict the volume term to them and
+    number its dofs by rank (pressure rank(c), velocity 6 rank(c) + j).
     """
     mesh, cg, fg, quad = dz.mesh, dz.cell_geom, dz.facet_geom, dz.quad
     rows, cols, vals = [], [], []
@@ -341,8 +350,7 @@ def _assemble_b(dz: Discretization, interior, dirichlet, d_sides, d_signs,
         lens = fg.lengths[interior]
         normals = fg.normals[interior]
         sigma = np.array([1.0, -1.0])
-        Tr = np.stack([_traces(fg, quad, interior, np.zeros(len(interior), dtype=int)),
-                       _traces(fg, quad, interior, np.ones(len(interior), dtype=int))], axis=1)
+        Tr = np.stack([_traces(fg, quad, interior, 0), _traces(fg, quad, interior, 1)], axis=1)
         phi_int = lens[:, None, None] * np.einsum("q,fsqj->fsj", w, Tr)  # (nF,2,3)
         # val[p_side s, u_side t, j, comp] = 0.5 * sigma_t * n_comp * ∫phi_j^t
         E = 0.5 * np.einsum("t,fc,ftj->ftjc", sigma, normals, phi_int)  # u part
@@ -352,10 +360,10 @@ def _assemble_b(dz: Discretization, interior, dirichlet, d_sides, d_signs,
                     + np.arange(2)[None, None, None, :])
             rows.append(r.ravel()); cols.append(cidx.ravel()); vals.append(E.ravel())
     if len(dirichlet):
-        fc = mesh.facet_cells[dirichlet, d_sides]
+        fc = mesh.facet_cells[dirichlet, sides]
         lens = fg.lengths[dirichlet]
-        normals = fg.normals[dirichlet] * np.asarray(d_signs, dtype=float)[:, None]
-        Tr = _traces(fg, quad, dirichlet, d_sides)
+        normals = outward_normals(fg, dirichlet, sides)
+        Tr = _traces(fg, quad, dirichlet, sides)
         phi_int = lens[:, None] * np.einsum("q,fqj->fj", w, Tr)
         E = np.einsum("fc,fj->fjc", normals, phi_int)
         r = np.broadcast_to(fc[:, None, None], E.shape)
@@ -368,25 +376,6 @@ def _assemble_b(dz: Discretization, interior, dirichlet, d_sides, d_signs,
         rows, cols = _renumber(cells, rows, 1), _renumber(cells, cols, 6)
     return sp.coo_matrix((np.concatenate(vals), (rows, cols)),
                          shape=(len(vc), 6 * len(vc))).tocsr()
-
-
-def _flow_rhs(dz: Discretization, data_fids, mu, gamma_u, data, Fu, Fp):
-    """Nitsche momentum data terms plus continuity data  ∫ (g·n) q."""
-    mesh, cg, fg, quad = dz.mesh, dz.cell_geom, dz.facet_geom, dz.quad
-    w, t = quad.facet_weights, quad.facet_points
-    for f in data_fids:
-        c = mesh.facet_cells[f, 0]
-        length = fg.lengths[f]
-        n = fg.normals[f]
-        Tr = fg.trace_matrix(f, 0, t)
-        dn = cg.grads[c] @ n
-        g = data(facet_points_xy(mesh, f, t))  # (nq,2)
-        for comp in range(2):
-            gi = g[:, comp]
-            vals = length * (gamma_u * mu / length * (Tr * (w * gi)[:, None]).sum(axis=0)
-                             - mu * dn * np.dot(w, gi))
-            Fu[6 * c + 2 * np.arange(3) + comp] += vals
-        Fp[c] += length * np.dot(w, g @ n)
 
 
 # ---------------------------------------------------------------------------
@@ -418,30 +407,26 @@ def assemble_transport(dz: Discretization, D: float, alpha: float, gamma_c: floa
     if wall_bc == "rbc" and alpha < 0:
         raise ValueError("Robin coefficient alpha must be nonnegative")
 
-    zeros = lambda ids: np.zeros(len(ids), dtype=int)
-    ones = lambda ids: np.ones(len(ids))
     n = dofs.n_concentration
 
     entries = [
         _csr_entries(scalar_stiffness(dz, D)),
         sipg_interior(dz, interior, D, gamma_c),
-        sipg_onesided(dz, inflow_ids, zeros(inflow_ids), ones(inflow_ids), D, gamma_c),
+        sipg_onesided(dz, inflow_ids, 0, D, gamma_c),
     ]
-    F = _load(n, nitsche_rhs_values(dz, inflow_ids, zeros(inflow_ids), ones(inflow_ids), D,
-                                    gamma_c, _facet_data(dz, inflow_ids, _as_callable(c_in))))
+    F = _load(n, nitsche_rhs_values(dz, inflow_ids, 0, D, gamma_c,
+                                    _facet_data(dz, inflow_ids, _as_callable(c_in))))
     g = _facet_data(dz, wall_ids, _as_callable(wall_data))
     if wall_bc == "dbc":
-        entries.append(sipg_onesided(dz, wall_ids, zeros(wall_ids), ones(wall_ids), D, gamma_c))
-        F += _load(n, nitsche_rhs_values(dz, wall_ids, zeros(wall_ids), ones(wall_ids), D,
-                                         gamma_c, g))
+        entries.append(sipg_onesided(dz, wall_ids, 0, D, gamma_c))
+        F += _load(n, nitsche_rhs_values(dz, wall_ids, 0, D, gamma_c, g))
     elif wall_bc == "rbc":
-        entries.append(facet_mass_onesided(dz, wall_ids, zeros(wall_ids), alpha))
-        F += _load(n, facet_rhs_values(dz, wall_ids, zeros(wall_ids), g, alpha))
+        entries.append(facet_mass_onesided(dz, wall_ids, 0, alpha))
+        F += _load(n, facet_rhs_values(dz, wall_ids, 0, g, alpha))
     else:  # nbc: -D grad c . n = wall_data, contributes only to the load
-        F += _load(n, facet_rhs_values(dz, wall_ids, zeros(wall_ids), g, -1.0))
+        F += _load(n, facet_rhs_values(dz, wall_ids, 0, g, -1.0))
 
     A = _merge(entries, n)
-    M = scalar_mass(dz)
 
     if source is not None:
         _volume_rhs(dz, source, F)
@@ -451,7 +436,7 @@ def assemble_transport(dz: Discretization, D: float, alpha: float, gamma_c: floa
     else:
         C, Fc = assemble_convection(dz, u_h, c_in)
         F += Fc
-    return TransportOperators(M=M, A=A, C=C, F=F)
+    return TransportOperators(M=dz.mass, A=A, C=C, F=F)
 
 
 def _volume_rhs(dz: Discretization, source, F):
@@ -460,7 +445,7 @@ def _volume_rhs(dz: Discretization, source, F):
     vals = p1_values(pts)  # (nq,3)
     p = dz.mesh.nodes[dz.mesh.cells]  # (nc,3,2)
     xq = np.einsum("qk,ckd->cqd", vals, p)  # physical quad points
-    fq = np.stack([source(xq[c]) for c in range(len(p))])  # (nc, nq)
+    fq = source(xq.reshape(-1, 2)).reshape(xq.shape[:2])  # (nc, nq)
     contrib = 2.0 * dz.cell_geom.areas[:, None] * np.einsum("q,cq,qi->ci", w, fq, vals)
     F += contrib.reshape(-1)
 
@@ -487,11 +472,13 @@ def _normal_velocity(U: np.ndarray, node_dofs, normals, T) -> np.ndarray:
 
 
 def _facet_data(dz: Discretization, fids, data) -> np.ndarray:
-    """(nF, nq) values of the callable `data` at the facet quadrature points."""
+    """(nF, nq, ...) values of the callable `data` at the facet quadrature
+    points: `data` maps (n, 2) points to n values, scalar or vector."""
     mesh, t = dz.mesh, dz.quad.facet_points
     a, b = (mesh.nodes[mesh.facets[fids, k]][:, None, :] for k in (0, 1))
     x = a * (1.0 - t)[None, :, None] + b * t[None, :, None]
-    return np.asarray(data(x.reshape(-1, 2)), dtype=float).reshape(len(fids), len(t))
+    vals = np.asarray(data(x.reshape(-1, 2)), dtype=float)
+    return vals.reshape(len(fids), len(t), *vals.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -513,7 +500,7 @@ class ConvectionPlan:
     shared_dofs: np.ndarray  # (nS, side, node)
     onesided: np.ndarray
     onesided_dofs: np.ndarray  # (nO, node), on the side the normal leaves
-    signs: np.ndarray  # orients each one-sided normal out of its side
+    onesided_normals: np.ndarray  # (nO, 2), out of that side
     mass: np.ndarray  # (3, 3) reference ∫ phi_k phi_j
     trace: np.ndarray  # (nq, 2) facet node traces
     weights: np.ndarray  # (nq, 4) w_q trace_a trace_b
@@ -522,13 +509,14 @@ class ConvectionPlan:
     indices: np.ndarray
 
     @classmethod
-    def build(cls, dz: Discretization, cells, shared, onesided, sides,
-              signs) -> "ConvectionPlan":
+    def build(cls, dz: Discretization, cells, shared, onesided,
+              sides) -> "ConvectionPlan":
+        """The plan over `cells`, two-sided on the facets `shared` and
+        one-sided on the batch (onesided, sides)."""
         quadc, t = quadrature(DEFAULT_CELL_ORDER), dz.quad.facet_points
         phis = p1_values(quadc.cell_points)
         T = np.column_stack([1.0 - t, t])
-        sd = np.stack([_node_dofs(dz, shared, np.zeros(len(shared), dtype=int)),
-                       _node_dofs(dz, shared, np.ones(len(shared), dtype=int))], axis=1)
+        sd = np.stack([_node_dofs(dz, shared, 0), _node_dofs(dz, shared, 1)], axis=1)
         od = _node_dofs(dz, onesided, sides)
         cells = np.asarray(cells)
         sdl, odl = _renumber(cells, sd), _renumber(cells, od)
@@ -551,7 +539,7 @@ class ConvectionPlan:
         TT = (T[:, :, None] * T[:, None, :]).reshape(len(t), 4)
         return cls(cells=cells, shared=shared, shared_dofs=sd,
                    onesided=onesided, onesided_dofs=od,
-                   signs=np.asarray(signs, dtype=float),
+                   onesided_normals=outward_normals(dz.facet_geom, onesided, sides),
                    mass=phis.T @ (quadc.cell_weights[:, None] * phis), trace=T,
                    weights=dz.quad.facet_weights[:, None] * TT,
                    slot=slot.astype(np.int32), indptr=indptr, indices=indices)
@@ -567,8 +555,7 @@ class ConvectionPlan:
         un[:, 0] = np.maximum(un[:, 0], 0.0)  # plus side: positive part
         un[:, 1] = np.minimum(un[:, 1], 0.0)  # minus side: negative part
         two = fg.lengths[self.shared][:, None, None] * (un @ self.weights)
-        un = _normal_velocity(U, self.onesided_dofs,
-                              fg.normals[self.onesided] * self.signs[:, None], self.trace)
+        un = _normal_velocity(U, self.onesided_dofs, self.onesided_normals, self.trace)
         one = fg.lengths[self.onesided][:, None] * (np.maximum(un, 0.0) @ self.weights)
         values = np.concatenate([vol.ravel(), two.ravel(), -two.ravel(), one.ravel()])
         n = len(self.indptr) - 1
@@ -581,20 +568,19 @@ def assemble_convection(dz: Discretization, u_h, c_in):
     `dz.convection_plan()` and its inflow data load  -∫ (u·n)^- c_in r."""
     inflow = _marker_ids(dz.mesh, FacetMarker.INFLOW)
     F = _load(dz.dofs.n_concentration,
-              upwind_boundary_rhs(dz, inflow, np.zeros(len(inflow), dtype=int),
-                                  np.ones(len(inflow)), u_h,
+              upwind_boundary_rhs(dz, inflow, 0, u_h,
                                   _facet_data(dz, inflow, _as_callable(c_in))))
     return dz.convection_plan().assemble(dz, u_h), F
 
 
-def upwind_boundary_rhs(dz: Discretization, fids, sides, signs, u_h, gvals):
+def upwind_boundary_rhs(dz: Discretization, fids, sides, u_h, gvals):
     """Inflow data load  -∫ (u·n)^- gvals r  as (dofs, vals) entries of shape
     (nF, 2) on the facet node dofs; u_h is read at global dofs."""
     fg, quad = dz.facet_geom, dz.quad
     T = np.column_stack([1.0 - quad.facet_points, quad.facet_points])
     dofs = _node_dofs(dz, fids, sides)
-    normals = fg.normals[fids] * np.asarray(signs, dtype=float)[:, None]
-    un = _normal_velocity(np.asarray(u_h, dtype=float).reshape(-1, 2), dofs, normals, T)
+    un = _normal_velocity(np.asarray(u_h, dtype=float).reshape(-1, 2), dofs,
+                          outward_normals(fg, fids, sides), T)
     flux = quad.facet_weights * np.minimum(un, 0.0) * gvals
     return dofs, -fg.lengths[fids][:, None] * (flux[:, :, None] * T).sum(axis=1)
 
@@ -647,13 +633,12 @@ class LocalDomain:
     def boundary(self) -> np.ndarray:
         return np.concatenate([self.gamma_e, self.gamma_w])
 
-    def inside_side(self, mesh: Mesh, fids) -> tuple[np.ndarray, np.ndarray]:
-        """(sides, signs): which facet side lies inside, and the outward-normal
-        sign for that side."""
+    def inside_side(self, mesh: Mesh, fids) -> np.ndarray:
+        """The side of each boundary facet in `fids` that lies inside the
+        domain: (fids, sides) is a one-sided batch of the domain."""
         plus = mesh.facet_cells[fids, 0]
         at = np.minimum(np.searchsorted(self.cells, plus), len(self.cells) - 1)
-        sides = np.where(self.cells[at] == plus, 0, 1)
-        return sides, np.where(sides == 0, 1.0, -1.0)
+        return np.where(self.cells[at] == plus, 0, 1)
 
     def local(self, entries):
         """(rows, cols, vals) entries on the domain's scalar dofs, renumbered."""
@@ -682,8 +667,8 @@ def assemble_local_concentration_forms(dz: Discretization, dom: LocalDomain,
     """(A, S) for the concentration spectral problem on a local domain: its
     `interior` form and the facet mass over the local boundary (scalar)."""
     fids = dom.boundary()
-    sides, _ = dom.inside_side(dz.mesh, fids)
-    S = _merge([dom.local(facet_mass_onesided(dz, fids, sides, 1.0))], 3 * len(dom.cells))
+    S = _merge([dom.local(facet_mass_onesided(dz, fids, dom.inside_side(dz.mesh, fids), 1.0))],
+               3 * len(dom.cells))
     return interior, S
 
 
@@ -700,10 +685,10 @@ def assemble_local_stokes(dz: Discretization, dom: LocalDomain, mu: float,
     """(A, B) of the local Stokes system with weak Dirichlet data on the whole
     local boundary, on local velocity/pressure dofs."""
     bd = dom.boundary()
-    sides, signs = dom.inside_side(dz.mesh, bd)
+    sides = dom.inside_side(dz.mesh, bd)
     A = _merge([_csr_entries(interior), dom.local(
-        sipg_onesided(dz, bd, sides, signs, mu, gamma_u * DATA_PENALTY))], 3 * len(dom.cells))
-    B = _assemble_b(dz, dom.interior_facets, bd, sides, signs, cells=dom.cells)
+        sipg_onesided(dz, bd, sides, mu, gamma_u * DATA_PENALTY))], 3 * len(dom.cells))
+    B = _assemble_b(dz, dom.interior_facets, bd, sides, cells=dom.cells)
     return expand_to_vector(A), B
 
 
@@ -715,11 +700,11 @@ def local_diffusion_with_bc(dz: Discretization, dom: LocalDomain, D: float,
     `robin_fids`."""
     entries = [_csr_entries(interior)]
     if len(dirichlet_fids):
-        sides, signs = dom.inside_side(dz.mesh, dirichlet_fids)
-        entries.append(dom.local(sipg_onesided(dz, dirichlet_fids, sides, signs, D, gamma_c)))
+        entries.append(dom.local(sipg_onesided(
+            dz, dirichlet_fids, dom.inside_side(dz.mesh, dirichlet_fids), D, gamma_c)))
     if len(robin_fids) and alpha != 0.0:
-        sides, _ = dom.inside_side(dz.mesh, robin_fids)
-        entries.append(dom.local(facet_mass_onesided(dz, robin_fids, sides, alpha)))
+        entries.append(dom.local(facet_mass_onesided(
+            dz, robin_fids, dom.inside_side(dz.mesh, robin_fids), alpha)))
     return _merge(entries, 3 * len(dom.cells))
 
 
@@ -727,9 +712,8 @@ def local_upwind_convection(dz: Discretization, dom: LocalDomain, u_h) -> sp.csr
     """Convection operator of a local domain: volume + interior upwind +
     one-sided (u·n)^+ over the whole local boundary, on local dofs."""
     bd = dom.boundary()
-    sides, signs = dom.inside_side(dz.mesh, bd)
-    return ConvectionPlan.build(dz, dom.cells, dom.interior_facets, bd, sides,
-                                signs).assemble(dz, u_h)
+    return ConvectionPlan.build(dz, dom.cells, dom.interior_facets, bd,
+                                dom.inside_side(dz.mesh, bd)).assemble(dz, u_h)
 
 
 # ---------------------------------------------------------------------------
@@ -759,17 +743,15 @@ def hat_loads(dz: Discretization, dom: LocalDomain, fids, load) -> np.ndarray:
     return out
 
 
-def nitsche_rhs_values(dz: Discretization, fids, sides, signs, coeff, gamma,
-                       gvals):
+def nitsche_rhs_values(dz: Discretization, fids, sides, coeff, gamma, gvals):
     """Weak-Dirichlet data load for scalar facet data `gvals` of shape (nF, nq),
     as (dofs, vals) entries of shape (nF, 3) on the side cells' dofs."""
     mesh, cg, fg, quad = dz.mesh, dz.cell_geom, dz.facet_geom, dz.quad
     w = quad.facet_weights
     cells = mesh.facet_cells[fids, sides]
     lens = fg.lengths[fids]
-    normals = fg.normals[fids] * np.asarray(signs, dtype=float)[:, None]
     Tr = _traces(fg, quad, fids, sides)
-    dn = _normal_derivs(cg, normals, cells)
+    dn = _normal_derivs(cg, outward_normals(fg, fids, sides), cells)
     vals = gamma * coeff * np.einsum("q,fqi,fq->fi", w, Tr, gvals)
     vals -= coeff * lens[:, None] * dn * np.einsum("q,fq->f", w, gvals)[:, None]
     return 3 * cells[:, None] + np.arange(3)[None, :], vals

@@ -130,28 +130,9 @@ class FacetGeometry:
 
     @classmethod
     def from_mesh(cls, mesh: Mesh) -> "FacetGeometry":
-        local = np.full((mesh.n_facets, 2, 2), -1, dtype=np.int64)
-        for f, (a, b) in enumerate(mesh.facets):
-            for side in range(2):
-                c = mesh.facet_cells[f, side]
-                if c < 0:
-                    continue
-                cell = mesh.cells[c]
-                local[f, side, 0] = int(np.flatnonzero(cell == a)[0])
-                local[f, side, 1] = int(np.flatnonzero(cell == b)[0])
+        cells = mesh.cells[np.maximum(mesh.facet_cells, 0)]  # (nf, side, 3)
+        # the slot in each side's cell of each facet end's node
+        local = np.argmax(cells[:, :, None, :] == mesh.facets[:, None, :, None], axis=3)
+        local = np.where(mesh.facet_cells[:, :, None] >= 0, local, -1)
         return cls(lengths=mesh.facet_lengths(), normals=mesh.facet_normals(),
                    local_nodes=local)
-
-    def trace_matrix(self, f: int, side: int, t: np.ndarray) -> np.ndarray:
-        """(nq, 3) values of the side cell's P1 basis along the facet."""
-        T = np.zeros((len(t), 3))
-        la, lb = self.local_nodes[f, side]
-        T[:, la] = 1.0 - t
-        T[:, lb] = t
-        return T
-
-
-def facet_points_xy(mesh: Mesh, f: int, t: np.ndarray) -> np.ndarray:
-    a = mesh.nodes[mesh.facets[f, 0]]
-    b = mesh.nodes[mesh.facets[f, 1]]
-    return a[None, :] * (1.0 - t)[:, None] + b[None, :] * t[:, None]

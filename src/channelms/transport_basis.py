@@ -111,13 +111,13 @@ def concentration_snapshots(dz: Discretization, dom: LocalDomain, family: str,
     singular = (variant == "elliptic" and len(dirichlet) == 0
                 and (len(robin) == 0 or alpha == 0.0))
 
-    sides, signs = dom.inside_side(dz.mesh, data_fids)
+    sides = dom.inside_side(dz.mesh, data_fids)
     if nitsche_data:
         rhs = hat_loads(dz, dom, data_fids, lambda g: nitsche_rhs_values(
-            dz, data_fids, sides, signs, D, gamma_c, g))
+            dz, data_fids, sides, D, gamma_c, g))
         if variant == "timevelocity":
             rhs += hat_loads(dz, dom, data_fids, lambda g: upwind_boundary_rhs(
-                dz, data_fids, sides, signs, u_ms, g))
+                dz, data_fids, sides, u_ms, g))
     else:
         # nbc: prescribed outward diffusive flux datum; rbc: wall data
         coeff = -1.0 if bc_kind == "nbc" else alpha

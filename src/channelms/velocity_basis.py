@@ -18,7 +18,7 @@ from scipy.sparse.linalg import splu
 from .assembly import (DATA_PENALTY, Discretization, LocalDomain,
                        assemble_local_stokes, assemble_local_velocity_forms,
                        hat_ends, hat_loads, local_interior_form,
-                       nitsche_rhs_values)
+                       nitsche_rhs_values, outward_normals)
 from .mesh import CoarsePartition
 from .spectral import ModeBlock, NestedSpace, pool_workers, spectral_reduce
 
@@ -59,14 +59,14 @@ def velocity_snapshots(dz: Discretization, dom: LocalDomain,
     """
     mesh, fg, quad = dz.mesh, dz.facet_geom, dz.quad
     ge = dom.gamma_e
-    sides, signs = dom.inside_side(mesh, ge)
+    sides = dom.inside_side(mesh, ge)
     # momentum: the hat's Nitsche load on the scalar dofs of one component
     fs = hat_loads(dz, dom, ge, lambda g: nitsche_rhs_values(
-        dz, ge, sides, signs, mu, gamma_u * DATA_PENALTY, g))
+        dz, ge, sides, mu, gamma_u * DATA_PENALTY, g))
 
     # continuity: the hat's flux through each facet, balanced by a constant
     # divergence source
-    lens, normals = fg.lengths[ge], fg.normals[ge] * signs[:, None]
+    lens, normals = fg.lengths[ge], outward_normals(fg, ge, sides)
     local_in = np.searchsorted(dom.cells, mesh.facet_cells[ge, sides])
     areas = dz.cell_geom.areas[dom.cells]
     n_nodes, ends = hat_ends(dz, ge)  # ∫ hat ds / len: w·(1 - t), w·t at a facet's ends

@@ -20,7 +20,7 @@ from scipy.sparse.linalg import splu
 
 from channelms import assembly as asm
 from channelms.assembly import DEFAULT_CELL_ORDER, _traces
-from channelms.dgspace import facet_points_xy, p1_values, quadrature
+from channelms.dgspace import p1_values, quadrature
 from channelms.mesh import FacetMarker
 
 
@@ -128,11 +128,14 @@ def sipg_interior(md: MeshData, fids, coeff, gamma):
     return A
 
 
-def sipg_onesided(md: MeshData, fids, sides, signs, coeff, gamma):
+def sipg_onesided(md: MeshData, fids, sides, coeff, gamma):
+    """Weak Dirichlet on the chosen side of each facet, with the normal
+    pointing out of that side."""
     n = 3 * md.mesh.n_cells
     A = np.zeros((n, n))
-    for f, side, sgn in zip(fids, sides, signs):
+    for f, side in zip(fids, sides):
         c = md.mesh.facet_cells[f, side]
+        sgn = 1.0 if side == 0 else -1.0
         h = md.length[f]
         for i in range(3):
             vi = md.trace(f, c, i)
@@ -165,12 +168,11 @@ def transport_diffusion(md: MeshData, D, alpha, gamma_c, wall_bc):
     inflow = np.flatnonzero(mesh.facet_marker == FacetMarker.INFLOW)
     walls = np.flatnonzero(mesh.facet_marker == FacetMarker.WALL)
     zeros = lambda ids: np.zeros(len(ids), dtype=int)
-    ones = lambda ids: np.ones(len(ids))
     A = scalar_stiffness(md, D)
     A += sipg_interior(md, interior, D, gamma_c)
-    A += sipg_onesided(md, inflow, zeros(inflow), ones(inflow), D, gamma_c)
+    A += sipg_onesided(md, inflow, zeros(inflow), D, gamma_c)
     if wall_bc == "dbc":
-        A += sipg_onesided(md, walls, zeros(walls), ones(walls), D, gamma_c)
+        A += sipg_onesided(md, walls, zeros(walls), D, gamma_c)
     elif wall_bc == "rbc":
         A += facet_mass(md, walls, zeros(walls), alpha)
     return A
@@ -193,8 +195,7 @@ def flow_viscous(md: MeshData, mu, gamma_u):
         np.flatnonzero(mesh.facet_marker == FacetMarker.WALL)])
     As = scalar_stiffness(md, mu)
     As += sipg_interior(md, interior, mu, gamma_u)
-    As += sipg_onesided(md, dirich, np.zeros(len(dirich), dtype=int),
-                        np.ones(len(dirich)), mu, gamma_u)
+    As += sipg_onesided(md, dirich, np.zeros(len(dirich), dtype=int), mu, gamma_u)
     return expand_vector(As)
 
 
@@ -398,19 +399,75 @@ def local_stokes_b(md: MeshData, cells):
 def local_diffusion_with_bc(md: MeshData, cells, D, gamma_c,
                             dirichlet_fids, robin_fids, alpha):
     _, bd = _domain_facets(md, cells)
-    lookup = {f: (s, sgn) for f, s, sgn in bd}
+    lookup = {f: s for f, s, _ in bd}
     A = np.zeros((3 * md.mesh.n_cells,) * 2)
     sd = (3 * np.asarray(cells)[:, None] + np.arange(3)[None, :]).reshape(-1)
     Aloc = local_interior_form(md, cells, D, gamma_c)
     A[np.ix_(sd, sd)] = Aloc
     if len(dirichlet_fids):
-        sides = [lookup[f][0] for f in dirichlet_fids]
-        signs = [lookup[f][1] for f in dirichlet_fids]
-        A += sipg_onesided(md, dirichlet_fids, sides, signs, D, gamma_c)
+        A += sipg_onesided(md, dirichlet_fids, [lookup[f] for f in dirichlet_fids],
+                           D, gamma_c)
     if len(robin_fids) and alpha != 0.0:
-        sides = [lookup[f][0] for f in robin_fids]
+        sides = [lookup[f] for f in robin_fids]
         A += facet_mass(md, robin_fids, sides, alpha)
     return A[np.ix_(sd, sd)]
+
+
+# --------------------------------------------------------------------------
+# the per-facet loops that batched code replaced, on the package's own
+# geometry: the references the batched versions are checked against
+# --------------------------------------------------------------------------
+
+def trace_matrix(fg, f, side, t):
+    """(nq, 3) values of the side cell's P1 basis along facet f."""
+    T = np.zeros((len(t), 3))
+    la, lb = fg.local_nodes[f, side]
+    T[:, la] = 1.0 - t
+    T[:, lb] = t
+    return T
+
+
+def facet_points_xy(mesh, f, t):
+    a = mesh.nodes[mesh.facets[f, 0]]
+    b = mesh.nodes[mesh.facets[f, 1]]
+    return a[None, :] * (1.0 - t)[:, None] + b[None, :] * t[:, None]
+
+
+def local_nodes(mesh):
+    """FacetGeometry.local_nodes, one facet side at a time."""
+    local = np.full((mesh.n_facets, 2, 2), -1, dtype=np.int64)
+    for f, (a, b) in enumerate(mesh.facets):
+        for side in range(2):
+            c = mesh.facet_cells[f, side]
+            if c < 0:
+                continue
+            cell = mesh.cells[c]
+            local[f, side, 0] = int(np.flatnonzero(cell == a)[0])
+            local[f, side, 1] = int(np.flatnonzero(cell == b)[0])
+    return local
+
+
+def flow_rhs(dz, mu, gamma_u, data):
+    """(Fu, Fp) of `assemble_flow`, one inflow facet at a time: the Nitsche
+    momentum data terms and the continuity data  ∫ (g·n) q."""
+    mesh, cg, fg, quad = dz.mesh, dz.cell_geom, dz.facet_geom, dz.quad
+    w, t = quad.facet_weights, quad.facet_points
+    Fu = np.zeros(dz.dofs.n_velocity)
+    Fp = np.zeros(dz.dofs.n_pressure)
+    for f in np.flatnonzero(mesh.facet_marker == FacetMarker.INFLOW):
+        c = mesh.facet_cells[f, 0]
+        length = fg.lengths[f]
+        n = fg.normals[f]
+        Tr = trace_matrix(fg, f, 0, t)
+        dn = cg.grads[c] @ n
+        g = data(facet_points_xy(mesh, f, t))  # (nq,2)
+        for comp in range(2):
+            gi = g[:, comp]
+            vals = length * (gamma_u * mu / length * (Tr * (w * gi)[:, None]).sum(axis=0)
+                             - mu * dn * np.dot(w, gi))
+            Fu[6 * c + 2 * np.arange(3) + comp] += vals
+        Fp[c] += length * np.dot(w, g @ n)
+    return Fu, Fp
 
 
 # --------------------------------------------------------------------------
@@ -461,8 +518,8 @@ def _assemble_convection(dz, u_h, interior, inflow_ids, outflow_ids, c_in, F):
         lens = fg.lengths[interior]
         normals = fg.normals[interior]
         sigma = np.array([1.0, -1.0])
-        Tr = np.stack([_traces(fg, dz.quad, interior, np.zeros(len(interior), dtype=int)),
-                       _traces(fg, dz.quad, interior, np.ones(len(interior), dtype=int))], axis=1)
+        Tr = np.stack([_traces(fg, dz.quad, interior, 0), _traces(fg, dz.quad, interior, 1)],
+                      axis=1)
         un = np.einsum("fskd,fsqk,fd->fsq", U[cells], Tr, normals)  # (nF,2,nq)
         coeff = np.empty_like(un)
         coeff[:, 0] = np.maximum(un[:, 0], 0.0)   # plus side: positive part
@@ -493,7 +550,7 @@ def _assemble_convection(dz, u_h, interior, inflow_ids, outflow_ids, c_in, F):
     t = dz.quad.facet_points
     for f in inflow_ids:
         cell = mesh.facet_cells[f, 0]
-        Tr = fg.trace_matrix(f, 0, t)
+        Tr = trace_matrix(fg, f, 0, t)
         un = (U[cell].T @ Tr.T).T @ fg.normals[f]  # (nq,)
         neg = np.minimum(un, 0.0)
         g = c_in(facet_points_xy(mesh, f, t))
@@ -540,8 +597,8 @@ def restricted_interior_form(dz, dom, coeff, gamma):
 
 def _full_boundary_mass(dz, dom):
     fids = dom.boundary()
-    sides, _ = dom.inside_side(dz.mesh, fids)
-    return asm._merge([asm.facet_mass_onesided(dz, fids, sides, 1.0)], dz.dofs.n_concentration)
+    return asm._merge([asm.facet_mass_onesided(dz, fids, dom.inside_side(dz.mesh, fids), 1.0)],
+                      dz.dofs.n_concentration)
 
 
 def restricted_concentration_forms(dz, dom, interior):
@@ -554,7 +611,7 @@ def restricted_velocity_forms(dz, dom, interior):
                  for m in restricted_concentration_forms(dz, dom, interior))
 
 
-def masked_b(dz, interior, dirichlet, d_sides, d_signs, cell_mask):
+def masked_b(dz, interior, dirichlet, sides, cell_mask):
     """b(u, q) at full size, with the volume term masked to a cell subset."""
     mesh, dofs = dz.mesh, dz.dofs
     cg, fg, quad = dz.cell_geom, dz.facet_geom, dz.quad
@@ -571,8 +628,7 @@ def masked_b(dz, interior, dirichlet, d_sides, d_signs, cell_mask):
         cells = mesh.facet_cells[interior]
         lens = fg.lengths[interior]
         sigma = np.array([1.0, -1.0])
-        Tr = np.stack([_traces(fg, quad, interior, np.zeros(len(interior), dtype=int)),
-                       _traces(fg, quad, interior, np.ones(len(interior), dtype=int))], axis=1)
+        Tr = np.stack([_traces(fg, quad, interior, 0), _traces(fg, quad, interior, 1)], axis=1)
         phi_int = lens[:, None, None] * np.einsum("q,fsqj->fsj", w, Tr)
         E = 0.5 * np.einsum("t,fc,ftj->ftjc", sigma, fg.normals[interior], phi_int)
         for ps in range(2):
@@ -581,10 +637,10 @@ def masked_b(dz, interior, dirichlet, d_sides, d_signs, cell_mask):
                     + np.arange(2)[None, None, None, :])
             rows.append(r.ravel()); cols.append(cidx.ravel()); vals.append(E.ravel())
     if len(dirichlet):
-        cells = mesh.facet_cells[dirichlet, d_sides]
+        cells = mesh.facet_cells[dirichlet, sides]
         lens = fg.lengths[dirichlet]
-        normals = fg.normals[dirichlet] * np.asarray(d_signs, dtype=float)[:, None]
-        Tr = _traces(fg, quad, dirichlet, d_sides)
+        normals = asm.outward_normals(fg, dirichlet, sides)
+        Tr = _traces(fg, quad, dirichlet, sides)
         phi_int = lens[:, None] * np.einsum("q,fqj->fj", w, Tr)
         E = np.einsum("fc,fj->fjc", normals, phi_int)
         r = np.broadcast_to(cells[:, None, None], E.shape)
@@ -597,13 +653,13 @@ def masked_b(dz, interior, dirichlet, d_sides, d_signs, cell_mask):
 
 def restricted_stokes(dz, dom, mu, gamma_u):
     bd = dom.boundary()
-    sides, signs = dom.inside_side(dz.mesh, bd)
+    sides = dom.inside_side(dz.mesh, bd)
     A_s = asm._merge([asm._csr_entries(_masked_interior_form(dz, dom, mu, gamma_u)),
-                      asm.sipg_onesided(dz, bd, sides, signs, mu, gamma_u * asm.DATA_PENALTY)],
+                      asm.sipg_onesided(dz, bd, sides, mu, gamma_u * asm.DATA_PENALTY)],
                      dz.dofs.n_concentration)
     mask = np.zeros(dz.mesh.n_cells, dtype=bool)
     mask[dom.cells] = True
-    B = masked_b(dz, dom.interior_facets, bd, sides, signs, mask)
+    B = masked_b(dz, dom.interior_facets, bd, sides, mask)
     sd = _sd(dom)
     vd = (6 * dom.cells[:, None] + np.arange(6)).ravel()
     return asm.expand_to_vector(restrict(A_s, sd, sd)), restrict(B, dom.cells, vd)
@@ -631,11 +687,11 @@ def restricted_diffusion_with_bc(dz, dom, D, gamma_c, dirichlet_fids, robin_fids
     `interior` is not used), restricted."""
     entries = [asm._csr_entries(_masked_interior_form(dz, dom, D, gamma_c))]
     if len(dirichlet_fids):
-        sides, signs = dom.inside_side(dz.mesh, dirichlet_fids)
-        entries.append(asm.sipg_onesided(dz, dirichlet_fids, sides, signs, D, gamma_c))
+        entries.append(asm.sipg_onesided(
+            dz, dirichlet_fids, dom.inside_side(dz.mesh, dirichlet_fids), D, gamma_c))
     if len(robin_fids) and alpha != 0.0:
-        sides, _ = dom.inside_side(dz.mesh, robin_fids)
-        entries.append(asm.facet_mass_onesided(dz, robin_fids, sides, alpha))
+        entries.append(asm.facet_mass_onesided(
+            dz, robin_fids, dom.inside_side(dz.mesh, robin_fids), alpha))
     sd = _sd(dom)
     return restrict(asm._merge(entries, dz.dofs.n_concentration), sd, sd)
 
@@ -648,9 +704,8 @@ def restricted_upwind_convection(dz, dom, u_h):
     """The domain's convection on a plan over every cell (global numbering),
     restricted."""
     bd = dom.boundary()
-    sides, signs = dom.inside_side(dz.mesh, bd)
     plan = asm.ConvectionPlan.build(dz, np.arange(dz.mesh.n_cells),
-                                    dom.interior_facets, bd, sides, signs)
+                                    dom.interior_facets, bd, dom.inside_side(dz.mesh, bd))
     return restrict(plan.assemble(dz, u_h), _sd(dom), _sd(dom))
 
 
@@ -694,10 +749,10 @@ def velocity_snapshots_one_by_one(dz, dom, direction, mu, gamma_u, lu):
     """Velocity snapshots from one full-size load per hat and direction."""
     mesh = dz.mesh
     ge = dom.gamma_e
-    sides, signs = dom.inside_side(mesh, ge)
+    sides = dom.inside_side(mesh, ge)
     _, gvals = hat_traces(dz, ge)
     lens = dz.facet_geom.lengths[ge]
-    normals = dz.facet_geom.normals[ge] * signs[:, None]
+    normals = asm.outward_normals(dz.facet_geom, ge, sides)
     local_in = np.searchsorted(dom.cells, mesh.facet_cells[ge, sides])
     areas = dz.cell_geom.areas[dom.cells]
     volume = areas.sum()
@@ -707,7 +762,7 @@ def velocity_snapshots_one_by_one(dz, dom, direction, mu, gamma_u, lu):
     for r in [direction] if direction is not None else [0, 1]:
         for l in range(len(gvals)):
             fs = full_load(dz.dofs.n_concentration, asm.nitsche_rhs_values(
-                dz, ge, sides, signs, mu, gamma_u * asm.DATA_PENALTY, gvals[l]))
+                dz, ge, sides, mu, gamma_u * asm.DATA_PENALTY, gvals[l]))
             full = np.zeros(dz.dofs.n_velocity)
             full[2 * np.arange(dz.dofs.n_concentration) + r] = fs
             flux = float(np.sum(lens * normals[:, r] * gint[l]))

@@ -61,6 +61,21 @@ def test_flow_operator_oracle(tiny_dz, md):
     assert _diff(ops.B, oracles.divergence_coupling(md)) < TOL
 
 
+@pytest.mark.parametrize("params", [
+    dict(),
+    dict(profile="sinusoidal", amplitude=0.02, wavelength=0.25),
+    dict(partition_mode="unstructured", seed=3),
+], ids=["straight", "sinusoidal", "unstructured"])
+def test_flow_load_matches_per_facet_loop(params):
+    cfg = ExperimentConfig(length=1.0, half_width=0.05, target_cells=400, **params)
+    dz = Discretization.from_mesh(generate_channel(cfg.channel_params()))
+    ops = assemble_flow(dz, mu=1.3, rho=0.9, gamma_u=8.0, inflow=inflow_profile(cfg))
+    Fu, Fp = oracles.flow_rhs(dz, 1.3, 8.0, inflow_profile(cfg))
+    assert np.abs(Fu).max() > 0 and np.abs(Fp).max() > 0
+    assert np.abs(ops.Fu - Fu).max() <= 1e-14 * np.abs(Fu).max()
+    assert np.abs(ops.Fp - Fp).max() <= 1e-14 * np.abs(Fp).max()
+
+
 def test_convection_oracle(tiny_dz, md):
     u_h = np.tile(U_CONST, 3 * tiny_dz.mesh.n_cells)
     C, _ = assemble_convection(tiny_dz, u_h, c_in=0.0)
@@ -146,9 +161,8 @@ def test_local_stokes_oracle(tiny_dz, md, tiny_partition):
         A, B = assemble_local_stokes(tiny_dz, dom, 1.0, 8.0,
                                      local_interior_form(tiny_dz, dom, 1.0, 8.0))
         bd = dom.boundary()
-        sides, signs = dom.inside_side(tiny_dz.mesh, bd)
         As = oracles.local_interior_form(md, cells, 1.0, 8.0)
-        full = oracles.sipg_onesided(md, bd, sides, signs, 1.0,
+        full = oracles.sipg_onesided(md, bd, dom.inside_side(tiny_dz.mesh, bd), 1.0,
                                      8.0 * DATA_PENALTY)
         sd = (3 * cells[:, None] + np.arange(3)[None, :]).reshape(-1)
         As = As + full[np.ix_(sd, sd)]
@@ -225,6 +239,9 @@ def test_dirichlet_rhs_consistency(tiny_dz):
 
 def test_discretization_masses_assembled_once(tiny_dz):
     assert tiny_dz.mass is tiny_dz.mass
+    ops = assemble_transport(tiny_dz, D=0.3, alpha=0.0, gamma_c=8.0,
+                             wall_bc="nbc", wall_data=0.0, c_in=1.0, u_h=None)
+    assert ops.M is tiny_dz.mass
     assert tiny_dz.vector_mass is tiny_dz.vector_mass
     assert _diff(tiny_dz.mass, scalar_mass(tiny_dz).toarray()) == 0.0
     assert _diff(tiny_dz.vector_mass,

@@ -107,8 +107,16 @@ def test_identity_projection_matches_fine_transport(small_dz, small_partition, r
     assert np.linalg.norm(coarse.reported[4] - fine.reported[4]) < 1e-8 * ref
 
 
+def _backward_error(K, c, b):
+    """Normwise backward error  ‖K c − b‖ / (‖K‖‖c‖ + ‖b‖)  of c in K c = b."""
+    return np.linalg.norm(K @ c - b) / (np.linalg.norm(K, 2) * np.linalg.norm(c)
+                                        + np.linalg.norm(b))
+
+
 def test_reduced_transport_step_equation(small_dz, small_partition):
-    # one implicit step of the reduced system, recomputed densely by hand
+    # one implicit step of the reduced system against its dense equations.
+    # cond(M_H) ~ 1e7 lets two correct solves differ by ~1e-9 relative, so
+    # the check is the backward error of each equation, not the coefficients
     ops = assemble_transport(small_dz, D=0.05, alpha=0.01, gamma_c=8.0,
                              wall_bc="rbc", wall_data=1.0, c_in=0.0, u_h=None)
     cs = build_concentration_space(small_dz, small_partition, "type2", 2,
@@ -120,11 +128,13 @@ def test_reduced_transport_step_equation(small_dz, small_partition):
     Rc = cs.R.toarray()
     M_H = Rc @ ops.M.toarray() @ Rc.T
     A_H = Rc @ ops.A.toarray() @ Rc.T
-    cH0 = np.linalg.solve(M_H, Rc @ (ops.M @ c0))
-    cH1 = np.linalg.solve(M_H / grid.tau + A_H,
-                          Rc @ ops.F + M_H @ cH0 / grid.tau)
-    assert np.allclose(sol.coefficients, cH1, rtol=1e-9, atol=1e-12)
-    assert np.allclose(sol.final, Rc.T @ cH1, rtol=1e-9, atol=1e-12)
+    m0 = Rc @ (ops.M @ c0)
+    cH0 = np.linalg.solve(M_H, m0)  # the mass projection of c0
+    assert _backward_error(M_H, cH0, m0) < 1e-12
+    cH1 = sol.coefficients
+    assert _backward_error(M_H / grid.tau + A_H, cH1,
+                           Rc @ ops.F + M_H @ cH0 / grid.tau) < 1e-12
+    assert _backward_error(Rc.T, cH1, sol.final) < 1e-12
 
 
 def test_singular_flow_raises_naming_system_and_m(small_dz, small_partition):

@@ -3,10 +3,14 @@
 from math import factorial
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from channelms.dgspace import (CellGeometry, DofMaps, FacetGeometry,
-                               facet_points_xy, p1_values, quadrature)
+import oracles
+from channelms.assembly import _facet_data, _traces
+from channelms.dgspace import (CellGeometry, DofMaps, FacetGeometry, p1_values,
+                               quadrature)
+from channelms.mesh import ChannelParams, generate_channel
 
 
 def _exact_tri(a, b):
@@ -63,21 +67,32 @@ def test_cell_geometry_matches_mesh(small_mesh):
 
 
 def test_facet_traces_align_across_sides(small_dz):
-    # the two cell-side traces of a continuous nodal hat agree pointwise
-    mesh, fg = small_dz.mesh, small_dz.facet_geom
-    t = np.linspace(0.0, 1.0, 7)
-    for f in mesh.interior_facets()[::23]:
-        a, b = mesh.facets[f]
-        for side in range(2):
+    # the two cell-side traces of a continuous nodal hat agree pointwise, in
+    # the parameter along which the facet data is evaluated
+    mesh, fg, quad = small_dz.mesh, small_dz.facet_geom, small_dz.quad
+    t = quad.facet_points
+    fids = mesh.interior_facets()[::23]
+    xy = _facet_data(small_dz, fids, lambda x: x)
+    for side in range(2):
+        T = _traces(fg, quad, fids, side)
+        for j, f in enumerate(fids):
+            a, b = mesh.facets[f]
             c = mesh.facet_cells[f, side]
-            T = fg.trace_matrix(f, side, t)
             la = int(np.flatnonzero(mesh.cells[c] == a)[0])
             lb = int(np.flatnonzero(mesh.cells[c] == b)[0])
-            assert np.allclose(T[:, la], 1.0 - t)
-            assert np.allclose(T[:, lb], t)
-        xy = facet_points_xy(mesh, f, t)
-        assert np.allclose(xy[0], mesh.nodes[a])
-        assert np.allclose(xy[-1], mesh.nodes[b])
+            assert np.allclose(T[j, :, la], 1.0 - t)
+            assert np.allclose(T[j, :, lb], t)
+            assert np.allclose(xy[j], np.outer(1.0 - t, mesh.nodes[a])
+                               + np.outer(t, mesh.nodes[b]))
+
+
+@pytest.mark.parametrize("flip_seed", [None, 3])  # structured, unstructured
+def test_local_nodes_match_the_per_facet_loop(flip_seed):
+    mesh = generate_channel(ChannelParams(length=0.5, half_width=0.05,
+                                          target_cells=400, flip_seed=flip_seed))
+    local = FacetGeometry.from_mesh(mesh).local_nodes
+    assert local.dtype == np.int64
+    assert np.array_equal(local, oracles.local_nodes(mesh))
 
 
 def test_facet_geometry_lengths_normals(small_mesh):

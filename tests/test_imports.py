@@ -1,5 +1,6 @@
-"""Every imported name in src/ and tests/ is used.  No linter is installed,
-so the check parses each module with the standard library's ast."""
+"""Every imported name in src/ and tests/ is used, and every function and
+class in src/ is referenced in src/.  No linter is installed, so the checks
+parse each module with the standard library's ast."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,27 @@ def test_no_unused_imports():
              for path in sorted((ROOT / folder).rglob("*.py"))
              for line, name in unused_imports(path)]
     assert found == []
+
+
+# defined in src/ for callers outside it
+OUTSIDE_API = {
+    "save_config": "harness: perfbench and the tests write a run's config with it",
+    "read_mesh": "mesh: reads back what `channelms mesh` writes",
+}
+
+
+def test_no_dead_api():
+    """Every function and class defined in src/ (dunder methods aside) is
+    referenced by name, or as an attribute, somewhere in src/."""
+    defined, referenced = [], set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((f"{path.relative_to(ROOT)}:{node.lineno}", node.name))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    dead = [f"{where}: {name}" for where, name in defined
+            if name not in referenced | set(OUTSIDE_API) and not name.startswith("__")]
+    assert dead == []

@@ -49,12 +49,14 @@ def _hat_endpoints(dz, dom, fids):
     return nodes, g
 
 
-def _oracle_nitsche_rhs(md, dom, fids, sides, signs, coeff, gamma, g):
-    """Weak-Dirichlet load from exact facet integrals; restricted to dom."""
+def _oracle_nitsche_rhs(md, dom, fids, sides, coeff, gamma, g):
+    """Weak-Dirichlet load from exact facet integrals, with the normal out of
+    each facet's side; restricted to dom."""
     n = 3 * md.mesh.n_cells
     F = np.zeros(n)
-    for j, (f, s, sg) in enumerate(zip(fids, sides, signs)):
+    for j, (f, s) in enumerate(zip(fids, sides)):
         c = md.mesh.facet_cells[f, s]
+        sg = 1.0 if s == 0 else -1.0
         g0, g1 = g[j]
         for i in range(3):
             tr = md.trace(f, c, i)
@@ -133,11 +135,11 @@ def test_elliptic_snapshots_solve_local_problem(small_dz, small_partition, md,
                                         robin, ALPHA)
     nodes, g = _hat_endpoints(small_dz, dom, data)
     assert np.array_equal(nodes, oracles.hat_traces(small_dz, data)[0])
-    sides, signs = dom.inside_side(small_dz.mesh, data)
+    sides = dom.inside_side(small_dz.mesh, data)
     scale = np.abs(A).max()
     for l in range(0, len(nodes), 4):
         if nitsche:
-            F = _oracle_nitsche_rhs(md, dom, data, sides, signs, D, GAMMA, g[l])
+            F = _oracle_nitsche_rhs(md, dom, data, sides, D, GAMMA, g[l])
         else:
             coeff = -1.0 if bc == "nbc" else ALPHA
             F = _oracle_facet_rhs(md, dom, data, sides, coeff, g[l])
@@ -157,7 +159,7 @@ def test_neumann_wall_family_energy_identity(small_dz, small_partition, md):
     sd = (3 * dom.cells[:, None] + np.arange(3)[None, :]).reshape(-1)
     M = oracles.scalar_mass(md)[np.ix_(sd, sd)]
     nodes, g = _hat_endpoints(small_dz, dom, dom.gamma_w)
-    sides, _ = dom.inside_side(small_dz.mesh, dom.gamma_w)
+    sides = dom.inside_side(small_dz.mesh, dom.gamma_w)
     for l in range(0, len(nodes), 4):
         c = ss[l]
         assert abs(np.ones(len(c)) @ (M @ c)) < 1e-10

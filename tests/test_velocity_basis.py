@@ -34,18 +34,18 @@ def _trace_errors(dz, dom, snap, gvals_l, direction):
     pos = {c: k for k, c in enumerate(dom.cells)}
     U = snap.reshape(len(dom.cells), 3, 2)
     worst_e = 0.0
-    sides, _ = dom.inside_side(mesh, dom.gamma_e)
+    sides = dom.inside_side(mesh, dom.gamma_e)
     for j, f in enumerate(dom.gamma_e):
         c = mesh.facet_cells[f, sides[j]]
-        got = fg.trace_matrix(f, sides[j], t) @ U[pos[c]]  # (nq, 2)
+        got = oracles.trace_matrix(fg, f, sides[j], t) @ U[pos[c]]  # (nq, 2)
         want = np.zeros_like(got)
         want[:, direction] = gvals_l[j]
         worst_e = max(worst_e, np.abs(got - want).max())
     worst_w = 0.0
-    wsides, _ = dom.inside_side(mesh, dom.gamma_w)
+    wsides = dom.inside_side(mesh, dom.gamma_w)
     for j, f in enumerate(dom.gamma_w):
         c = mesh.facet_cells[f, wsides[j]]
-        got = fg.trace_matrix(f, wsides[j], t) @ U[pos[c]]
+        got = oracles.trace_matrix(fg, f, wsides[j], t) @ U[pos[c]]
         worst_w = max(worst_w, np.abs(got).max())
     return worst_e, worst_w
 
@@ -90,7 +90,8 @@ def test_snapshot_discrete_divergence_is_compatible_constant(small_dz, dom,
     Bo = oracles.local_stokes_b(md, dom.cells)
     w = small_dz.quad.facet_weights
     _, gvals = oracles.hat_traces(small_dz, dom.gamma_e)
-    sides, signs = dom.inside_side(mesh, dom.gamma_e)
+    sides = dom.inside_side(mesh, dom.gamma_e)
+    signs = np.where(sides == 0, 1.0, -1.0)  # the normal out of the domain
     in_cells = mesh.facet_cells[dom.gamma_e, sides]
     pos = {c: k for k, c in enumerate(dom.cells)}
     areas = cg.areas[dom.cells]
