@@ -1,14 +1,18 @@
 """Fine-grid time stepping for flow and transport.
 
-Both solvers use implicit Euler.  The flow factorization is computed once per
-run; the transport factorization is recomputed only when the advecting
-velocity changes, which in practice means once per step until the flow
-settles to its steady state.  Both factor with a minimum-degree ordering and
-diagonal pivots, and check the first solve of every factorization.
+Both solvers use implicit Euler and factor their system once per run, with a
+minimum-degree ordering and diagonal pivots.  The transport system depends on
+the advecting velocity, which changes at every step until the flow settles.
+Transport factors the system of the final velocity; a step with another
+velocity solves its own system by iterative refinement preconditioned with
+that factorization, and factors its own system only where the refinement
+cannot reach `RESIDUAL_TOL`.  The first solve of every factorization is
+checked, and so is the last residual of every refinement.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +23,11 @@ from .assembly import Discretization, FlowOperators, assemble_convection
 
 STEADY_TOL = 1e-8
 RESIDUAL_TOL = 1e-10  # relative residual allowed after the first solve of a factorization
+REFINE_MAX_SOLVES = 20  # LU solves one refined step may take before it factors its own system
+# the penalty that governs each system's conditioning, named when a solve fails
+PENALTY = {"flow": "gamma_u", "transport": "gamma_c"}
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -70,7 +79,7 @@ def solve_flow(dz: Discretization, ops: FlowOperators, grid: TimeGrid,
         rhs = np.concatenate([ops.Fu + ops.M @ u / tau, ops.Fp])
         x = lu.solve(rhs)
         if step == 1:
-            _check_residual(K, x, rhs, "flow")
+            _check_residual(K, x, rhs, "flow", step)
         unew, p = x[:nU], x[nU:]
         sol.velocities.append(unew)
         sol.pressures.append(p)
@@ -91,11 +100,38 @@ def _factor(K: sp.csc_matrix):
                 options={"SymmetricMode": True})
 
 
-def _check_residual(K, x, rhs, system: str):
+def _failure(system: str, step: int, res: float) -> str:
+    return (f"fine {system} solve at step {step} has relative residual "
+            f"{res:.3e} > {RESIDUAL_TOL:g}; its conditioning is governed by "
+            f"the penalty {PENALTY[system]}, which may be too small")
+
+
+def _check_residual(K, x, rhs, system: str, step: int):
     res = np.linalg.norm(K @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
     if res > RESIDUAL_TOL:
-        raise RuntimeError(f"fine {system} solve has relative residual "
-                           f"{res:.3e} > {RESIDUAL_TOL:g}")
+        raise RuntimeError(_failure(system, step, res))
+
+
+def _refine(lu, K, rhs) -> tuple[np.ndarray, float, int]:
+    """Solve K x = rhs by iterative refinement preconditioned with `lu`, a
+    factorization of a nearby system.  Corrections continue while each at
+    least halves the relative residual; the one that does not has reached the
+    system's rounding floor and is discarded.  Returns x, its relative
+    residual and the number of LU solves."""
+    scale = max(np.linalg.norm(rhs), 1e-300)
+    x = lu.solve(rhs)
+    r = rhs - K @ x
+    res = np.linalg.norm(r) / scale
+    solves = 1
+    while solves < REFINE_MAX_SOLVES:
+        x_new = x + lu.solve(r)
+        solves += 1
+        r_new = rhs - K @ x_new
+        res_new = np.linalg.norm(r_new) / scale
+        if res_new > 0.5 * res:
+            break
+        x, r, res = x_new, r_new, res_new
+    return x, res, solves
 
 
 @dataclass
@@ -103,6 +139,8 @@ class TransportSolution:
     times: np.ndarray
     final: np.ndarray
     reported: dict  # step index -> concentration vector
+    lu_solves: int = 0  # over every step, refinement corrections included
+    fallback_steps: list = field(default_factory=list)  # steps that factored their own system
 
 
 def solve_transport(dz: Discretization, M: sp.spmatrix, A: sp.spmatrix,
@@ -111,32 +149,63 @@ def solve_transport(dz: Discretization, M: sp.spmatrix, A: sp.spmatrix,
     """Implicit Euler for (M/tau + A + C(u)) c = F + M c_prev / tau.
 
     `velocity_at(step)` supplies the advecting velocity (may be None for pure
-    diffusion); factorization is reused while it returns the same array.
+    diffusion).  The system of the final velocity `velocity_at(n_steps)` is
+    factored before the first step and solves every step whose velocity is
+    that same object.  A step with another velocity assembles that velocity's
+    system once and solves it by iterative refinement against the final LU.
+    If the refinement stalls above `RESIDUAL_TOL`, the step logs a warning
+    and factors its own system, which then serves every later step with the
+    same velocity object.
     """
     tau = grid.tau
-    c = np.asarray(c0, dtype=float).copy()
-    reported = {}
+
+    def system(u):
+        if u is None:
+            return (M / tau + A).tocsc(), F_static
+        C, F_conv = assemble_convection(dz, u, c_in)
+        return (M / tau + A + C).tocsc(), F_static + F_conv
+
+    u_last = velocity_at(grid.n_steps)
+    K_last, F_last = system(u_last)
+    lu_last = _factor(K_last)
+    checked = False  # whether lu_last's first solve has been checked
+    sol = TransportSolution(times=grid.times(), final=None, reported={})
     report = set(int(s) for s in report_steps)
     cached_u = object()  # sentinel distinct from any array / None
-    K = None  # the system of a new factorization, until its first solve
+    own_lu = None  # the factorization of the cached velocity's own system
+    c = np.asarray(c0, dtype=float).copy()
     for step in range(1, grid.n_steps + 1):
         u = velocity_at(step)
-        if u is not cached_u:
-            if u is None:
-                K, F = M / tau + A, F_static
+        if u is u_last:
+            rhs = F_last + M @ c / tau
+            c = lu_last.solve(rhs)
+            sol.lu_solves += 1
+            if not checked:
+                _check_residual(K_last, c, rhs, "transport", step)
+                checked = True
+        else:
+            if u is not cached_u:
+                K, F = system(u)
+                cached_u, own_lu = u, None
+            rhs = F + M @ c / tau
+            if own_lu is not None:
+                c = own_lu.solve(rhs)
+                sol.lu_solves += 1
             else:
-                C, F_conv = assemble_convection(dz, u, c_in)
-                K, F = M / tau + A + C, F_static + F_conv
-            lu = _factor(K.tocsc())
-            cached_u = u
-        rhs = F + M @ c / tau
-        c = lu.solve(rhs)
-        if K is not None:
-            _check_residual(K, c, rhs, "transport")
-            K = None
+                c, res, solves = _refine(lu_last, K, rhs)
+                sol.lu_solves += solves
+                if res > RESIDUAL_TOL:
+                    log.warning("%s; factoring this step's own system",
+                                _failure("transport", step, res))
+                    sol.fallback_steps.append(step)
+                    own_lu = _factor(K)
+                    c = own_lu.solve(rhs)
+                    sol.lu_solves += 1
+                    _check_residual(K, c, rhs, "transport", step)
         if step in report:
-            reported[step] = c.copy()
-    return TransportSolution(times=grid.times(), final=c, reported=reported)
+            sol.reported[step] = c.copy()
+    sol.final = c
+    return sol
 
 
 def constant_concentration(dz: Discretization, value: float) -> np.ndarray:

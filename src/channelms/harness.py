@@ -293,6 +293,8 @@ def run_fine_phase(cfg: ExperimentConfig, timings: dict | None = None) -> FinePh
     transport = solve_transport(dz, transport_ops.M, transport_ops.A,
                                 transport_ops.F, flow.velocity_at, cfg.c_in,
                                 grid, c0, report_steps=report)
+    log.info("fine transport: %d LU solves over %d steps, fallback steps %s",
+             transport.lu_solves, grid.n_steps, transport.fallback_steps)
     timings["fine"] = time.perf_counter() - t0
     h = _hash_arrays(flow.velocity_at(grid.n_steps),
                      *(transport.reported[m] for m in report))

@@ -6,6 +6,8 @@ numerically nonsingular subspace of the boundary Gram matrix and return the
 smallest-eigenvalue modes mapped back to fine dofs.  The modes come in
 ascending eigenvalue order, so the space of the first M modes of every
 domain is a subset of the rows of the space of any larger M (`NestedSpace`).
+Each mode's sign is fixed by a seeded functional, not left to the
+eigensolver, whose choice can change with the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh
 
 GRAM_CUTOFF = 1e-12
+SIGN_SEED = 0  # seeds the weight vector that fixes each mode's sign
 
 
 @dataclass
@@ -33,6 +36,9 @@ def spectral_reduce(snapshots: np.ndarray, A, S,
 
     Each snapshot is first normalized to unit S-norm (conditioning only; the
     span is unchanged).  Raises if the boundary Gram matrix has rank < M.
+    Every mode v is signed so that w . v >= 0 for a fixed Gaussian vector w
+    of v's length (seed `SIGN_SEED`); a mode with w . v == 0 exactly keeps
+    the eigensolver's sign.
     """
     R = np.asarray(snapshots, dtype=float)
     if R.ndim != 2 or len(R) == 0:
@@ -58,7 +64,10 @@ def spectral_reduce(snapshots: np.ndarray, A, S,
     W = U[:, keep] / np.sqrt(w[keep])[None, :]
     lam, Y = eigh(W.T @ At @ W)
     coeffs = (W @ Y).T  # S-tilde-orthonormal rows, ascending eigenvalue
-    return SpectralBasis(eigenvalues=lam, vectors=coeffs[:M] @ R)
+    modes = coeffs[:M] @ R
+    weights = np.random.default_rng(SIGN_SEED).standard_normal(modes.shape[1])
+    modes[modes @ weights < 0] *= -1.0
+    return SpectralBasis(eigenvalues=lam, vectors=modes)
 
 
 @dataclass

@@ -187,7 +187,9 @@ def test_flow_residual_check(small_dz, monkeypatch):
     cfg = ExperimentConfig(length=0.5, half_width=0.05, target_cells=400)
     ops = assemble_flow(small_dz, 1.0, 1.0, 8.0, inflow_profile(cfg))
     monkeypatch.setattr(fine_solver, "splu", Broken)
-    with pytest.raises(RuntimeError, match="relative residual .* > 1e-10"):
+    with pytest.raises(RuntimeError,
+                       match="fine flow solve at step 1 has relative residual "
+                             ".* > 1e-10; .* penalty gamma_u"):
         solve_flow(small_dz, ops, TimeGrid(0.1, 5))
 
 
@@ -222,27 +224,64 @@ def test_transport_ordering_matches_default_splu(preset):
 
 
 def test_transport_residual_check(small_dz, monkeypatch):
-    # the first solve after every factorization is checked: only the second
-    # factorization is broken, and the step that makes it fails
+    # the first solve of every factorization is checked: the one LU (of the
+    # final velocity u2) is broken, steps 1-2 refine against it and still
+    # converge, and step 3, the first that solves with that LU, fails
     made = []
 
-    class BrokenSecond:
+    class Broken:
         def __init__(self, K, **kw):
             self.lu = splu(K, **kw)
-            self.scale = 1.001 if made else 1.0
             made.append(self)
 
         def solve(self, rhs):
-            return self.scale * self.lu.solve(rhs)
+            return 1.001 * self.lu.solve(rhs)
 
     ops = assemble_transport(small_dz, D=0.01, alpha=0.01, gamma_c=8.0,
                              wall_bc="rbc", wall_data=1.0, c_in=0.0, u_h=None)
     u1 = np.tile([0.5, 0.0], 3 * small_dz.mesh.n_cells)
     u2 = 2.0 * u1
-    monkeypatch.setattr(fine_solver, "splu", BrokenSecond)
+    monkeypatch.setattr(fine_solver, "splu", Broken)
     with pytest.raises(RuntimeError,
-                       match="fine transport solve has relative residual .* > 1e-10"):
+                       match="fine transport solve at step 3 has relative "
+                             "residual .* > 1e-10; .* penalty gamma_c"):
         solve_transport(small_dz, ops.M, ops.A, ops.F,
                         lambda s: u1 if s < 3 else u2, 0.0, TimeGrid(0.1, 5),
                         constant_concentration(small_dz, 1.0))
-    assert len(made) == 2
+    assert len(made) == 1
+
+
+def test_transport_refinement_falls_back_to_own_factorization(small_dz,
+                                                              monkeypatch,
+                                                              caplog):
+    # the reversed flow is too far from the final one for its LU to serve as
+    # a preconditioner: steps 1-2 factor their own system once, with a
+    # warning, and every step still matches the per-velocity direct path
+    made = []
+
+    def counted(K, **kw):
+        made.append(K)
+        return splu(K, **kw)
+
+    ops = assemble_transport(small_dz, D=0.001, alpha=0.01, gamma_c=8.0,
+                             wall_bc="rbc", wall_data=1.0, c_in=0.0, u_h=None)
+    u2 = np.tile([2.0, 0.0], 3 * small_dz.mesh.n_cells)
+    u1 = -u2
+    velocity_at = lambda s: u1 if s < 3 else u2
+    grid = TimeGrid(0.1, 5)
+    c0 = constant_concentration(small_dz, 1.0)
+    steps = range(1, grid.n_steps + 1)
+    monkeypatch.setattr(fine_solver, "splu", counted)
+    with caplog.at_level("WARNING", logger="channelms.fine_solver"):
+        sol = solve_transport(small_dz, ops.M, ops.A, ops.F, velocity_at, 0.0,
+                              grid, c0, report_steps=steps)
+    assert len(made) == 2 and sol.fallback_steps == [1]
+    assert "fine transport solve at step 1" in caplog.text
+    assert "factoring this step's own system" in caplog.text
+    c = c0
+    for step in steps:
+        C, F_conv = assemble_convection(small_dz, velocity_at(step), 0.0)
+        K = (ops.M / grid.tau + ops.A + C).tocsc()
+        c = splu(K).solve(ops.F + F_conv + ops.M @ c / grid.tau)
+        got = sol.reported[step]
+        assert np.linalg.norm(got - c) <= 1e-12 * np.linalg.norm(c), step

@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import splu
 
-from channelms import cli, harness, transport_basis
+from channelms import cli, fine_solver, harness, transport_basis
 from channelms.errors import concentration_error, relative_l2_error
 from channelms.harness import (CSV_HEADER, ExperimentConfig, inflow_profile,
                                load_config, run_experiment, save_config)
@@ -29,6 +30,26 @@ def tiny_reports(tmp_path_factory):
     r1 = run_experiment(cfg)
     r2 = run_experiment(replace(cfg, out_dir=str(out), write_fields=True))
     return r1, r2, out
+
+
+def test_fine_phase_factors_once_per_system(monkeypatch, caplog):
+    # one flow and one transport factorization on a desk run, however many
+    # velocities the fine flow passes through before it settles
+    made = []
+
+    def counted(K, **kw):
+        made.append(K.shape)
+        return splu(K, **kw)
+
+    monkeypatch.setattr(fine_solver, "splu", counted)
+    cfg = replace(cli.load_preset("test2_d1"), target_cells=3000)
+    with caplog.at_level("INFO", logger="channelms.harness"):
+        fine = harness.run_fine_phase(cfg)
+    assert len(made) == 2
+    assert fine.flow.steady_step > 2  # several transient velocities refined
+    assert fine.transport.fallback_steps == []
+    assert fine.transport.lu_solves > fine.grid.n_steps
+    assert f"{fine.transport.lu_solves} LU solves" in caplog.text
 
 
 # --- inflow data -----------------------------------------------------------

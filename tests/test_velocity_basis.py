@@ -1,9 +1,13 @@
 """Velocity snapshot construction and spectral reduction."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from channelms.assembly import (LocalDomain, assemble_local_velocity_forms,
                                 local_interior_form)
@@ -141,6 +145,41 @@ def test_build_velocity_space_thread_determinism(small_dz, small_partition):
     v2 = build_velocity_space(small_dz, small_partition, "type1", 2, 1.0, 8.0,
                               threads=3)
     assert np.array_equal(v1.R.toarray(), v2.R.toarray())
+
+
+_BUILD_RBC_SPACE = """
+import sys
+from dataclasses import replace
+import scipy.sparse as sp
+from channelms.assembly import Discretization
+from channelms.cli import load_preset
+from channelms.mesh import generate_channel, partition_coarse
+from channelms.velocity_basis import build_velocity_space
+cfg = replace(load_preset("test1_rbc"), target_cells=3000)
+mesh = generate_channel(cfg.channel_params())
+part = partition_coarse(mesh, cfg.n_domains, mode=cfg.partition_mode,
+                        seed=cfg.seed)
+vs = build_velocity_space(Discretization.from_mesh(mesh), part,
+                          cfg.velocity_type, 20, cfg.mu, cfg.gamma_u)
+sp.save_npz(sys.argv[1], vs.R)
+"""
+
+
+def test_velocity_space_does_not_depend_on_blas_threads(tmp_path):
+    # eigh may return a mode with either sign depending on how BLAS splits
+    # its work; spectral_reduce fixes the signs, so the rows agree
+    R = {}
+    for threads in (1, 2):
+        out = tmp_path / f"R{threads}.npz"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", _BUILD_RBC_SPACE, str(out)],
+                       env=env, check=True, timeout=300)
+        R[threads] = sp.load_npz(out).toarray()
+    assert R[1].shape == (400, R[1].shape[1])
+    scale = np.abs(R[1]).max(axis=1)
+    diff = np.abs(R[1] - R[2]).max(axis=1)
+    assert np.all(diff <= 1e-10 * scale), np.flatnonzero(diff > 1e-10 * scale)
 
 
 def test_expected_flow_dof_formulas():
