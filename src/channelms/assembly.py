@@ -107,11 +107,12 @@ class FlowOperators:
 
 @dataclass
 class TransportOperators:
-    """Fine-grid transport blocks: (M/tau) c + (A + C) c = F + M cprev / tau."""
+    """Fine-grid transport blocks without convection:
+    (M/tau) c + (A + C(u)) c = F + F_c(u) + M cprev / tau, where
+    assemble_convection gives C(u) and F_c(u)."""
 
     M: sp.csr_matrix
     A: sp.csr_matrix
-    C: sp.csr_matrix
     F: np.ndarray
 
 
@@ -389,13 +390,13 @@ def _as_callable(data):
 
 
 def assemble_transport(dz: Discretization, D: float, alpha: float, gamma_c: float,
-                       wall_bc: str, wall_data, c_in, u_h,
+                       wall_bc: str, wall_data, c_in,
                        source=None) -> TransportOperators:
-    """Assemble diffusion, mass, upwind convection and transport loads.
+    """Assemble diffusion, mass and the transport loads without convection.
 
     wall_bc selects the wall treatment: "dbc" (weak Dirichlet with value
     wall_data), "nbc" (outward diffusive flux wall_data) or "rbc" (flux
-    alpha*(c - wall_data)).  u_h may be None for pure diffusion.
+    alpha*(c - wall_data)).
     """
     mesh, dofs = dz.mesh, dz.dofs
     interior = mesh.interior_facets()
@@ -430,13 +431,7 @@ def assemble_transport(dz: Discretization, D: float, alpha: float, gamma_c: floa
 
     if source is not None:
         _volume_rhs(dz, source, F)
-
-    if u_h is None:
-        C = sp.csr_matrix((dofs.n_concentration, dofs.n_concentration))
-    else:
-        C, Fc = assemble_convection(dz, u_h, c_in)
-        F += Fc
-    return TransportOperators(M=dz.mass, A=A, C=C, F=F)
+    return TransportOperators(M=dz.mass, A=A, F=F)
 
 
 def _volume_rhs(dz: Discretization, source, F):

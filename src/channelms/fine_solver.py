@@ -66,8 +66,7 @@ class FlowSolution:
 
 
 def solve_flow(dz: Discretization, ops: FlowOperators, grid: TimeGrid,
-               u0: np.ndarray | None = None,
-               steady_tol: float = STEADY_TOL) -> FlowSolution:
+               u0: np.ndarray | None = None) -> FlowSolution:
     """March the saddle-point flow system, stopping early at steady state."""
     nU = dz.dofs.n_velocity
     tau = grid.tau
@@ -84,7 +83,7 @@ def solve_flow(dz: Discretization, ops: FlowOperators, grid: TimeGrid,
         sol.velocities.append(unew)
         sol.pressures.append(p)
         du = np.linalg.norm(unew - u)
-        if du <= steady_tol * max(np.linalg.norm(unew), 1e-300):
+        if du <= STEADY_TOL * max(np.linalg.norm(unew), 1e-300):
             sol.steady_step = step
             break
         u = unew

@@ -101,6 +101,8 @@ class ExperimentConfig:
             ms = list(getattr(self, name))
             if not ms or ms != sorted(ms) or len(set(ms)) != len(ms):
                 raise ValueError(f"{name} must be nonempty strictly ascending")
+            if ms[0] < 1:
+                raise ValueError(f"{name} basis sizes must be at least 1, got {ms[0]}")
         if self.bc_kind not in ("dbc", "nbc", "rbc"):
             raise ValueError(f"unknown bc_kind {self.bc_kind!r}")
         if self.variant not in ("elliptic", "timevelocity"):
@@ -287,7 +289,7 @@ def run_fine_phase(cfg: ExperimentConfig, timings: dict | None = None) -> FinePh
     flow = solve_flow(dz, flow_ops, grid)
     transport_ops = assemble_transport(dz, cfg.diffusion, cfg.alpha,
                                        cfg.gamma_c, cfg.bc_kind,
-                                       cfg.wall_data(), cfg.c_in, None)
+                                       cfg.wall_data(), cfg.c_in)
     c0 = constant_concentration(dz, cfg.c_0)
     report = cfg.report_steps()
     transport = solve_transport(dz, transport_ops.M, transport_ops.A,

@@ -5,6 +5,12 @@ splits each quad into two triangles; an optional seeded diagonal flip gives an
 unstructured flavor.  Facets are classified as interior / inflow / outflow /
 wall, and the coarse partition assigns every fine cell to one connected local
 domain.
+
+The topology is built by array operations: the facets are the unique sorted
+edges, each cell's facet neighbours form a (n_cells, 3) table, region growing
+claims a domain's free neighbours as one set per turn, and the connectivity
+repair labels facet-connected components with scipy's csgraph.  The loop
+versions these replace are kept in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 
 class FacetMarker(IntEnum):
@@ -143,13 +151,16 @@ class Mesh:
             raise ValueError("facet markers do not partition the boundary")
 
 
-def _cell_adjacency(mesh: Mesh) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(mesh.n_cells)]
-    for (cp, cm) in mesh.facet_cells:
-        if cm >= 0:
-            adj[cp].append(cm)
-            adj[cm].append(cp)
-    return adj
+def _cell_neighbours(mesh: Mesh) -> np.ndarray:
+    """(n_cells, 3) cells across each cell's interior facets, ascending,
+    padded with -1."""
+    inner = mesh.facet_cells[mesh.facet_cells[:, 1] >= 0]
+    cell, nb = np.concatenate([inner, inner[:, ::-1]]).T
+    order = np.lexsort((nb, cell))
+    cell, nb = cell[order], nb[order]
+    table = np.full((mesh.n_cells, 3), -1, dtype=np.int64)
+    table[cell, np.arange(len(cell)) - np.searchsorted(cell, cell)] = nb
+    return table
 
 
 @dataclass
@@ -209,23 +220,17 @@ def generate_channel(params: ChannelParams) -> Mesh:
     Y = (w0 + np.outer(hw, s)).ravel()
     nodes = np.column_stack([X, Y])
 
-    def nid(i, j):
-        return i * (ny + 1) + j
-
-    rng = np.random.default_rng(params.flip_seed) if params.flip_seed is not None else None
-    cells = []
-    for i in range(nx):
-        for j in range(ny):
-            n00, n10 = nid(i, j), nid(i + 1, j)
-            n01, n11 = nid(i, j + 1), nid(i + 1, j + 1)
-            flip = ((i + j) % 2 == 1) if rng is None else bool(rng.integers(2))
-            if flip:
-                cells.append((n00, n10, n01))
-                cells.append((n10, n11, n01))
-            else:
-                cells.append((n00, n10, n11))
-                cells.append((n00, n11, n01))
-    cells = np.asarray(cells, dtype=np.int64)
+    # quad (i, j) has corners 00, 10, 01, 11 and is split along 10-01 when
+    # flipped, along 00-11 otherwise; quads are numbered i-major
+    i, j = np.divmod(np.arange(nx * ny), ny)
+    n00 = i * (ny + 1) + j
+    corners = np.column_stack([n00, n00 + ny + 1, n00 + 1, n00 + ny + 2])
+    if params.flip_seed is None:
+        flip = (i + j) % 2 == 1
+    else:
+        flip = np.random.default_rng(params.flip_seed).integers(2, size=nx * ny) == 1
+    cells = np.where(flip[:, None, None], corners[:, [[0, 1, 2], [1, 3, 2]]],
+                     corners[:, [[0, 1, 3], [0, 3, 2]]]).reshape(-1, 3)
 
     # orientation fix (mapped quads can invert locally for strong profiles)
     p = nodes[cells]
@@ -245,35 +250,31 @@ def generate_channel(params: ChannelParams) -> Mesh:
 
 
 def _extract_facets(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    edge_map: dict[tuple[int, int], list[int]] = {}
-    for c, (a, b, d) in enumerate(cells):
-        for u, v in ((a, b), (b, d), (d, a)):
-            key = (u, v) if u < v else (v, u)
-            edge_map.setdefault(key, []).append(c)
-    facets, facet_cells = [], []
-    for key in sorted(edge_map):
-        owners = sorted(edge_map[key])
-        if len(owners) > 2:
-            raise ValueError("non-manifold facet")
-        facets.append(key)
-        facet_cells.append((owners[0], owners[1] if len(owners) == 2 else -1))
-    return np.asarray(facets, dtype=np.int64), np.asarray(facet_cells, dtype=np.int64)
+    """Sorted unique edges and their (lower, higher) owning cells.  Edges are
+    listed cell by cell, so an edge's first occurrence is its lower cell."""
+    edges = np.sort(cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    facets, first, inverse, counts = np.unique(
+        edges, axis=0, return_index=True, return_inverse=True, return_counts=True)
+    if (counts > 2).any():
+        raise ValueError("non-manifold facet")
+    owner = np.arange(len(edges)) // 3
+    facet_cells = np.full((len(facets), 2), -1, dtype=np.int64)
+    facet_cells[:, 0] = owner[first]
+    second = np.ones(len(edges), dtype=bool)
+    second[first] = False
+    facet_cells[inverse[second], 1] = owner[second]
+    return facets, facet_cells
 
 
 def _classify_boundary(nodes, facets, facet_cells, params: ChannelParams) -> np.ndarray:
-    marker = np.full(len(facets), int(FacetMarker.INTERIOR), dtype=np.int64)
-    mids = 0.5 * (nodes[facets[:, 0]] + nodes[facets[:, 1]])
+    """Boundary facets are inflow, else outflow, else wall, by their midpoints."""
+    x, y = (0.5 * (nodes[facets[:, 0]] + nodes[facets[:, 1]])).T
     tol = 1e-12 * max(params.length, 1.0)
-    on_boundary = facet_cells[:, 1] < 0
-    for f in np.flatnonzero(on_boundary):
-        x, y = mids[f]
-        if abs(x) <= tol and abs(y - params.inlet_y0) <= params.inlet_rmax:
-            marker[f] = FacetMarker.INFLOW
-        elif abs(x - params.length) <= tol:
-            marker[f] = FacetMarker.OUTFLOW
-        else:
-            marker[f] = FacetMarker.WALL
-    return marker
+    inflow = (np.abs(x) <= tol) & (np.abs(y - params.inlet_y0) <= params.inlet_rmax)
+    outflow = np.abs(x - params.length) <= tol
+    return np.select([facet_cells[:, 1] >= 0, inflow, outflow],
+                     [FacetMarker.INTERIOR, FacetMarker.INFLOW, FacetMarker.OUTFLOW],
+                     FacetMarker.WALL).astype(np.int64)
 
 
 def partition_coarse(mesh: Mesh, n_domains: int, mode: str = "structured",
@@ -309,9 +310,9 @@ def _region_grow(mesh: Mesh, n_domains: int, seed: int) -> np.ndarray:
     xmin, xmax = mesh.nodes[:, 0].min(), mesh.nodes[:, 0].max()
     ymin, ymax = mesh.nodes[:, 1].min(), mesh.nodes[:, 1].max()
     assign = np.full(mesh.n_cells, -1, dtype=np.int64)
-    adj = _cell_adjacency(mesh)
+    neighbours = _cell_neighbours(mesh)
 
-    frontiers: list[list[int]] = []
+    frontiers = []
     for i in range(n_domains):
         # jittered slab centers keep the domains spread along the channel
         tx = (i + 0.5) / n_domains + 0.2 / n_domains * (rng.random() - 0.5)
@@ -320,68 +321,60 @@ def _region_grow(mesh: Mesh, n_domains: int, seed: int) -> np.ndarray:
         free = np.flatnonzero(assign < 0)
         c = free[np.argmin(np.linalg.norm(centroids[free] - target, axis=1))]
         assign[c] = i
-        frontiers.append([int(c)])
+        frontiers.append(np.array([c]))
 
-    remaining = mesh.n_cells - n_domains
-    while remaining > 0:
+    # each round, each domain in turn claims the free neighbours of its last
+    # claims; within a turn only the set claimed matters
+    while (assign < 0).any():
         progressed = False
         for i in range(n_domains):
-            new_front = []
-            for c in sorted(frontiers[i]):
-                for nb in sorted(adj[c]):
-                    if assign[nb] < 0:
-                        assign[nb] = i
-                        new_front.append(nb)
-                        remaining -= 1
-            frontiers[i] = new_front
-            progressed = progressed or bool(new_front)
+            nbs = neighbours[frontiers[i]].ravel()
+            frontiers[i] = np.unique(nbs[(nbs >= 0) & (assign[nbs] < 0)])
+            assign[frontiers[i]] = i
+            progressed = progressed or len(frontiers[i]) > 0
         if not progressed:
             raise ValueError("region growing stalled; mesh may be disconnected")
     return assign
 
 
 def _repair_connectivity(mesh: Mesh, assign: np.ndarray, n_domains: int) -> np.ndarray:
-    """Reattach orphan components: every domain must be facet-connected."""
+    """Reattach orphan components: every domain must be facet-connected.
+
+    A domain keeps its largest component (the one with the lowest cell on a
+    tie); each other component moves to its lowest neighbouring domain."""
     assign = assign.copy()
-    adj = _cell_adjacency(mesh)
+    neighbours = _cell_neighbours(mesh)
     for _ in range(n_domains):  # a reassignment can orphan a neighbor; iterate
-        changed = False
+        changed, label = False, None
         for i in range(n_domains):
-            comps = _components(np.flatnonzero(assign == i), adj)
+            if label is None:  # none yet, or a reassignment made it stale
+                label = _domain_components(assign, neighbours)
+            cells = np.flatnonzero(assign == i)
+            comps, sizes = np.unique(label[cells], return_counts=True)
             if len(comps) <= 1:
                 continue
-            comps.sort(key=len, reverse=True)
-            for orphan in comps[1:]:
-                targets = {int(assign[nb]) for c in orphan for nb in adj[c]
-                           if assign[nb] != i}
-                if not targets:
+            for comp in np.delete(comps, np.argmax(sizes)):
+                orphan = cells[label[cells] == comp]
+                nbs = neighbours[orphan].ravel()
+                targets = assign[nbs[nbs >= 0]]
+                targets = targets[targets != i]
+                if not len(targets):
                     raise ValueError(f"domain {i} has an irreparable orphan component")
-                assign[orphan] = min(targets)
-                changed = True
+                assign[orphan] = targets.min()
+            changed, label = True, None
         if not changed:
             return assign
     return assign
 
 
-def _components(cells: np.ndarray, adj) -> list[list[int]]:
-    cellset = set(int(c) for c in cells)
-    seen: set[int] = set()
-    comps = []
-    for start in cells:
-        start = int(start)
-        if start in seen:
-            continue
-        comp, stack = [], [start]
-        seen.add(start)
-        while stack:
-            c = stack.pop()
-            comp.append(c)
-            for nb in adj[c]:
-                if nb in cellset and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        comps.append(comp)
-    return comps
+def _domain_components(assign, neighbours) -> np.ndarray:
+    """Component label of every cell in the graph of same-domain neighbours;
+    scipy numbers components in the order of their lowest cell."""
+    n = len(assign)
+    rows, cols = np.repeat(np.arange(n), 3), neighbours.ravel()
+    same = (cols >= 0) & (assign[rows] == assign[cols])
+    graph = sp.csr_matrix((np.ones(same.sum()), (rows[same], cols[same])), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
 
 
 FORMAT_HEADER = "channelms-mesh 1"

@@ -141,8 +141,9 @@ def build_velocity_space(dz: Discretization, partition: CoarsePartition,
                              dz.dofs.n_velocity, extra_dof=partition.n_domains)
 
 
-def expected_flow_dof(kind: str, n_domains: int, M: int, d: int = 2) -> int:
-    """Reported coarse flow dofs: N_H(M+1) pooled, N_H(d*M+1) per-direction."""
+def expected_flow_dof(kind: str, n_domains: int, M: int) -> int:
+    """Reported coarse flow dofs: N_H(M+1) pooled, N_H(2M+1) per-direction
+    in 2-D."""
     if kind.lower() == "type1":
         return n_domains * (M + 1)
-    return n_domains * (d * M + 1)
+    return n_domains * (2 * M + 1)

@@ -75,7 +75,7 @@ def manufactured_transport_error(target_h, D=0.1, gamma_c=8.0):
     k2 = D * (np.pi / WIDTH) ** 2
     ops = assemble_transport(dz, D=D, alpha=0.0, gamma_c=gamma_c,
                              wall_bc="dbc", wall_data=0.0, c_in=_c_exact,
-                             u_h=None, source=lambda x: k2 * _c_exact(x))
+                             source=lambda x: k2 * _c_exact(x))
     c_h = spsolve(ops.A.tocsr(), ops.F)
     return l2_error_vs_exact(dz, c_h, _c_exact), mesh.n_cells
 

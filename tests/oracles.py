@@ -887,3 +887,184 @@ def per_row_sweep(cfg):
                 key: concentration_error(dz, reported[m], fine.transport.reported[m])
                 for m, key in keys.items()})
     return out
+
+
+# ---------------------------------------------------------------------------
+# mesh topology by per-element loops: the reference for channelms.mesh
+# ---------------------------------------------------------------------------
+
+def channel_by_loops(params):
+    """(nodes, cells, facets, facet_cells, facet_marker, h) of
+    `generate_channel(params)`, built quad by quad and edge by edge."""
+    params.validate()
+    L, w0 = params.length, params.half_width
+    if params.target_cells is not None:
+        xq = np.linspace(0.0, L, 2049)
+        area = np.trapezoid(2.0 * params.halfwidth(xq), xq)
+        h = float(np.sqrt(2.0 * area / params.target_cells))
+    else:
+        h = float(params.target_h)
+    nx = max(2, round(L / h))
+    ny = max(2, round(2.0 * w0 / h))
+    xs = np.linspace(0.0, L, nx + 1)
+    s = np.linspace(-1.0, 1.0, ny + 1)
+    nodes = np.column_stack([np.repeat(xs, ny + 1),
+                             (w0 + np.outer(params.halfwidth(xs), s)).ravel()])
+
+    def nid(i, j):
+        return i * (ny + 1) + j
+
+    rng = np.random.default_rng(params.flip_seed) if params.flip_seed is not None else None
+    cells = []
+    for i in range(nx):
+        for j in range(ny):
+            n00, n10 = nid(i, j), nid(i + 1, j)
+            n01, n11 = nid(i, j + 1), nid(i + 1, j + 1)
+            flip = ((i + j) % 2 == 1) if rng is None else bool(rng.integers(2))
+            if flip:
+                cells.append((n00, n10, n01))
+                cells.append((n10, n11, n01))
+            else:
+                cells.append((n00, n10, n11))
+                cells.append((n00, n11, n01))
+    cells = np.asarray(cells, dtype=np.int64)
+    p = nodes[cells]
+    area2 = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+             - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    neg = area2 <= 0
+    cells[neg] = cells[neg][:, [0, 2, 1]]
+
+    edge_map = {}
+    for c, (a, b, d) in enumerate(cells):
+        for u, v in ((a, b), (b, d), (d, a)):
+            key = (u, v) if u < v else (v, u)
+            edge_map.setdefault(key, []).append(c)
+    facets, facet_cells = [], []
+    for key in sorted(edge_map):
+        owners = sorted(edge_map[key])
+        if len(owners) > 2:
+            raise ValueError("non-manifold facet")
+        facets.append(key)
+        facet_cells.append((owners[0], owners[1] if len(owners) == 2 else -1))
+    facets = np.asarray(facets, dtype=np.int64)
+    facet_cells = np.asarray(facet_cells, dtype=np.int64)
+
+    marker = np.full(len(facets), int(FacetMarker.INTERIOR), dtype=np.int64)
+    mids = 0.5 * (nodes[facets[:, 0]] + nodes[facets[:, 1]])
+    tol = 1e-12 * max(params.length, 1.0)
+    for f in np.flatnonzero(facet_cells[:, 1] < 0):
+        x, y = mids[f]
+        if abs(x) <= tol and abs(y - params.inlet_y0) <= params.inlet_rmax:
+            marker[f] = FacetMarker.INFLOW
+        elif abs(x - params.length) <= tol:
+            marker[f] = FacetMarker.OUTFLOW
+        else:
+            marker[f] = FacetMarker.WALL
+    h_eff = float(np.sqrt(2.0 * (0.5 * np.abs(area2)).max()))
+    return nodes, cells, facets, facet_cells, marker, h_eff
+
+
+def cell_adjacency_lists(mesh):
+    adj = [[] for _ in range(mesh.n_cells)]
+    for (cp, cm) in mesh.facet_cells:
+        if cm >= 0:
+            adj[cp].append(cm)
+            adj[cm].append(cp)
+    return adj
+
+
+def region_grow_by_loops(mesh, n_domains, seed):
+    """Seeded region growing, one cell and one neighbour at a time."""
+    rng = np.random.default_rng(seed)
+    centroids = mesh.cell_centroids()
+    xmin, xmax = mesh.nodes[:, 0].min(), mesh.nodes[:, 0].max()
+    ymin, ymax = mesh.nodes[:, 1].min(), mesh.nodes[:, 1].max()
+    assign = np.full(mesh.n_cells, -1, dtype=np.int64)
+    adj = cell_adjacency_lists(mesh)
+    frontiers = []
+    for i in range(n_domains):
+        tx = (i + 0.5) / n_domains + 0.2 / n_domains * (rng.random() - 0.5)
+        ty = 0.25 + 0.5 * rng.random()
+        target = np.array([xmin + tx * (xmax - xmin), ymin + ty * (ymax - ymin)])
+        free = np.flatnonzero(assign < 0)
+        c = free[np.argmin(np.linalg.norm(centroids[free] - target, axis=1))]
+        assign[c] = i
+        frontiers.append([int(c)])
+    remaining = mesh.n_cells - n_domains
+    while remaining > 0:
+        progressed = False
+        for i in range(n_domains):
+            new_front = []
+            for c in sorted(frontiers[i]):
+                for nb in sorted(adj[c]):
+                    if assign[nb] < 0:
+                        assign[nb] = i
+                        new_front.append(nb)
+                        remaining -= 1
+            frontiers[i] = new_front
+            progressed = progressed or bool(new_front)
+        if not progressed:
+            raise ValueError("region growing stalled; mesh may be disconnected")
+    return assign
+
+
+def components_by_dfs(cells, adj):
+    """Facet-connected components of `cells`, in the order of their lowest
+    cell."""
+    cellset = set(int(c) for c in cells)
+    seen, comps = set(), []
+    for start in cells:
+        start = int(start)
+        if start in seen:
+            continue
+        comp, stack = [], [start]
+        seen.add(start)
+        while stack:
+            c = stack.pop()
+            comp.append(c)
+            for nb in adj[c]:
+                if nb in cellset and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        comps.append(comp)
+    return comps
+
+
+def repair_by_loops(mesh, assign, n_domains):
+    """Reattach every orphan component to its lowest neighbouring domain."""
+    assign = assign.copy()
+    adj = cell_adjacency_lists(mesh)
+    for _ in range(n_domains):
+        changed = False
+        for i in range(n_domains):
+            comps = components_by_dfs(np.flatnonzero(assign == i), adj)
+            if len(comps) <= 1:
+                continue
+            comps.sort(key=len, reverse=True)
+            for orphan in comps[1:]:
+                targets = {int(assign[nb]) for c in orphan for nb in adj[c]
+                           if assign[nb] != i}
+                if not targets:
+                    raise ValueError(f"domain {i} has an irreparable orphan component")
+                assign[orphan] = min(targets)
+                changed = True
+        if not changed:
+            return assign
+    return assign
+
+
+def slab_assignment(mesh, n_domains):
+    """Structured partition before the connectivity repair."""
+    cx = mesh.cell_centroids()[:, 0]
+    xmin, xmax = mesh.nodes[:, 0].min(), mesh.nodes[:, 0].max()
+    rel = (cx - xmin) / (xmax - xmin)
+    return np.minimum((rel * n_domains).astype(np.int64), n_domains - 1)
+
+
+def partition_by_loops(mesh, n_domains, mode, seed):
+    """cell_to_domain of `partition_coarse(mesh, n_domains, mode, seed)`."""
+    if mode == "structured":
+        assign = slab_assignment(mesh, n_domains)
+    else:
+        assign = region_grow_by_loops(mesh, n_domains, seed)
+    return repair_by_loops(mesh, assign, n_domains)

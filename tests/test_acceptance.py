@@ -76,7 +76,7 @@ def test_criterion_2_oracle_equivalence(tiny_dz, tiny_partition):
 
     worst = 0.0
     ops = assemble_transport(tiny_dz, D=0.05, alpha=0.7, gamma_c=8.0,
-                             wall_bc="rbc", wall_data=1.0, c_in=0.0, u_h=None)
+                             wall_bc="rbc", wall_data=1.0, c_in=0.0)
     worst = max(worst, diff(ops.A, oracles.transport_diffusion(md, 0.05, 0.7,
                                                                8.0, "rbc")))
     worst = max(worst, diff(ops.M, oracles.scalar_mass(md)))
@@ -119,7 +119,7 @@ def test_criterion_2_oracle_equivalence(tiny_dz, tiny_partition):
 def test_criterion_3_closed_wall_conservation(small_mesh, rng):
     dz = closed_copy(small_mesh)
     ops = assemble_transport(dz, D=0.01, alpha=0.0, gamma_c=8.0,
-                             wall_bc="nbc", wall_data=0.0, c_in=0.0, u_h=None)
+                             wall_bc="nbc", wall_data=0.0, c_in=0.0)
     u_h = rng.standard_normal(dz.dofs.n_velocity)
     c0 = 1.0 + 0.5 * rng.random(dz.dofs.n_concentration)
     ones = np.ones(len(c0))
@@ -148,7 +148,7 @@ def full_space_errors():
     fops = assemble_flow(dz, cfg.mu, cfg.rho, cfg.gamma_u, inflow_profile(cfg))
     flow = solve_flow(dz, fops, grid)
     tops = assemble_transport(dz, cfg.diffusion, cfg.alpha, cfg.gamma_c,
-                              "rbc", cfg.c_w, cfg.c_in, None)
+                              "rbc", cfg.c_w, cfg.c_in)
     c0 = constant_concentration(dz, cfg.c_0)
     fine = solve_transport(dz, tops.M, tops.A, tops.F, flow.velocity_at,
                            cfg.c_in, grid, c0)

@@ -46,7 +46,7 @@ def test_scalar_stiffness_oracle(tiny_dz, md):
 @pytest.mark.parametrize("bc", ["dbc", "nbc", "rbc"])
 def test_transport_diffusion_oracle(tiny_dz, md, bc):
     ops = assemble_transport(tiny_dz, D=0.05, alpha=0.7, gamma_c=8.0,
-                             wall_bc=bc, wall_data=1.0, c_in=0.0, u_h=None)
+                             wall_bc=bc, wall_data=1.0, c_in=0.0)
     ref = oracles.transport_diffusion(md, 0.05, 0.7, 8.0, bc)
     assert _diff(ops.A, ref) < TOL
     assert _diff(ops.M, oracles.scalar_mass(md)) < TOL
@@ -192,7 +192,7 @@ def test_mass_spd(small_dz):
 
 def test_transport_diffusion_symmetric_positive(small_dz):
     ops = assemble_transport(small_dz, D=0.01, alpha=0.01, gamma_c=8.0,
-                             wall_bc="rbc", wall_data=1.0, c_in=0.0, u_h=None)
+                             wall_bc="rbc", wall_data=1.0, c_in=0.0)
     asym = abs(ops.A - ops.A.T).max()
     assert asym < 1e-12
     lo = eigsh(ops.A, k=1, which="SA", return_eigenvectors=False)[0]
@@ -232,7 +232,7 @@ def test_dirichlet_rhs_consistency(tiny_dz):
     # A constant Dirichlet datum equal to a constant field leaves the field in
     # the operator's kernel direction: A @ 1 == F for pure weak-Dirichlet walls
     ops = assemble_transport(tiny_dz, D=0.3, alpha=0.0, gamma_c=8.0,
-                             wall_bc="dbc", wall_data=2.5, c_in=2.5, u_h=None)
+                             wall_bc="dbc", wall_data=2.5, c_in=2.5)
     ones = np.full(tiny_dz.dofs.n_concentration, 2.5)
     assert np.abs(ops.A @ ones - ops.F).max() < 1e-10
 
@@ -240,7 +240,7 @@ def test_dirichlet_rhs_consistency(tiny_dz):
 def test_discretization_masses_assembled_once(tiny_dz):
     assert tiny_dz.mass is tiny_dz.mass
     ops = assemble_transport(tiny_dz, D=0.3, alpha=0.0, gamma_c=8.0,
-                             wall_bc="nbc", wall_data=0.0, c_in=1.0, u_h=None)
+                             wall_bc="nbc", wall_data=0.0, c_in=1.0)
     assert ops.M is tiny_dz.mass
     assert tiny_dz.vector_mass is tiny_dz.vector_mass
     assert _diff(tiny_dz.mass, scalar_mass(tiny_dz).toarray()) == 0.0

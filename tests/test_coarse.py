@@ -92,7 +92,7 @@ def test_steady_coarse_galerkin_residual(small_dz, small_partition):
 
 def test_identity_projection_matches_fine_transport(small_dz, small_partition, rng):
     ops = assemble_transport(small_dz, D=0.05, alpha=0.01, gamma_c=8.0,
-                             wall_bc="rbc", wall_data=1.0, c_in=1.0, u_h=None)
+                             wall_bc="rbc", wall_data=1.0, c_in=1.0)
     u_const = np.tile([0.4, 0.0], 3 * small_dz.mesh.n_cells)
     c0 = rng.random(small_dz.dofs.n_concentration)
     grid = TimeGrid(0.2, 8)
@@ -118,7 +118,7 @@ def test_reduced_transport_step_equation(small_dz, small_partition):
     # cond(M_H) ~ 1e7 lets two correct solves differ by ~1e-9 relative, so
     # the check is the backward error of each equation, not the coefficients
     ops = assemble_transport(small_dz, D=0.05, alpha=0.01, gamma_c=8.0,
-                             wall_bc="rbc", wall_data=1.0, c_in=0.0, u_h=None)
+                             wall_bc="rbc", wall_data=1.0, c_in=0.0)
     cs = build_concentration_space(small_dz, small_partition, "type2", 2,
                                    "rbc", "elliptic", 0.05, 0.01, 8.0)
     c0 = constant_concentration(small_dz, 1.0)
@@ -155,7 +155,7 @@ def test_singular_size_fails_alone_in_shared_transport(small_dz, small_partition
     # singular size fails, and the other still matches the M_c=1 solve of the
     # space without the zeroed mode
     ops = assemble_transport(small_dz, D=0.05, alpha=0.01, gamma_c=8.0,
-                             wall_bc="rbc", wall_data=1.0, c_in=0.0, u_h=None)
+                             wall_bc="rbc", wall_data=1.0, c_in=0.0)
     cs = build_concentration_space(small_dz, small_partition, "type2", 2,
                                    "rbc", "elliptic", 0.05, 0.01, 8.0)
     u = np.tile([0.4, 0.0], 3 * small_dz.mesh.n_cells)
@@ -192,7 +192,7 @@ def test_galerkin_matches_sparse_products(small_mesh, small_dz, mode, kind, rng)
     U, P, C = DomainBlocks(vs), DomainBlocks(ps), DomainBlocks(cs)
     flow = _flow_ops(dz, dict(length=0.5, half_width=0.05, target_cells=400))
     tops = assemble_transport(dz, D=0.05, alpha=0.01, gamma_c=8.0,
-                              wall_bc="rbc", wall_data=1.0, c_in=1.0, u_h=None)
+                              wall_bc="rbc", wall_data=1.0, c_in=1.0)
     for X, B, R in ((flow.M, U, Ru), (flow.A, U, Ru),
                     (tops.M, C, Rc), (tops.A, C, Rc)):
         for symmetric in (False, True):
@@ -234,7 +234,7 @@ def test_domain_blocks_are_the_rows_of_the_space(small_mesh, small_dz, mode, kin
 def test_galerkin_identity_and_zero_rows(small_dz, small_partition):
     dz = small_dz
     tops = assemble_transport(dz, D=0.05, alpha=0.01, gamma_c=8.0,
-                              wall_bc="rbc", wall_data=1.0, c_in=1.0, u_h=None)
+                              wall_bc="rbc", wall_data=1.0, c_in=1.0)
     eye = DomainBlocks(identity_space("concentration", small_partition, 3))
     A = tops.A.toarray()
     assert np.array_equal(galerkin(tops.A, eye, eye), A[np.ix_(eye.perm, eye.perm)])

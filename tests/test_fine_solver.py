@@ -86,8 +86,7 @@ def test_constant_state_preserved(small_dz):
     # free only against P0 test functions, so it is excluded here)
     u_const = np.tile([0.8, 0.0], 3 * small_dz.mesh.n_cells)
     ops = assemble_transport(small_dz, D=0.01, alpha=0.0, gamma_c=8.0,
-                             wall_bc="dbc", wall_data=1.0, c_in=1.0,
-                             u_h=None)
+                             wall_bc="dbc", wall_data=1.0, c_in=1.0)
     c0 = constant_concentration(small_dz, 1.0)
     sol = solve_transport(small_dz, ops.M, ops.A, ops.F, lambda s: u_const,
                           1.0, TimeGrid(0.2, 10), c0, report_steps=(5, 10))
@@ -98,7 +97,7 @@ def test_constant_state_preserved(small_dz):
 def test_closed_wall_mass_conservation(small_mesh, rng):
     dz = closed_copy(small_mesh)
     ops = assemble_transport(dz, D=0.01, alpha=0.0, gamma_c=8.0,
-                             wall_bc="nbc", wall_data=0.0, c_in=0.0, u_h=None)
+                             wall_bc="nbc", wall_data=0.0, c_in=0.0)
     M = ops.M
     c = 1.0 + 0.5 * rng.random(dz.dofs.n_concentration)
     mass0 = float(np.ones(len(c)) @ (M @ c))
@@ -111,7 +110,7 @@ def test_closed_wall_mass_conservation(small_mesh, rng):
 def test_time_step_halving_first_order(small_mesh):
     dz = closed_copy(small_mesh)
     ops = assemble_transport(dz, D=0.05, alpha=0.0, gamma_c=8.0,
-                             wall_bc="nbc", wall_data=0.0, c_in=0.0, u_h=None)
+                             wall_bc="nbc", wall_data=0.0, c_in=0.0)
     x = dz.mesh.nodes[dz.mesh.cells.reshape(-1), 0]
     c0 = np.sin(2 * np.pi * x)  # smooth nonequilibrium start
     run = lambda n: solve_transport(dz, ops.M, ops.A, ops.F, lambda s: None,
@@ -127,7 +126,7 @@ def test_robin_wall_flux_direction(small_mesh, c_w, direction):
     # alpha > 0 with wall data above (below) the state pushes mass in (out)
     dz = closed_copy(small_mesh)
     ops = assemble_transport(dz, D=0.01, alpha=0.5, gamma_c=8.0,
-                             wall_bc="rbc", wall_data=c_w, c_in=0.0, u_h=None)
+                             wall_bc="rbc", wall_data=c_w, c_in=0.0)
     c0 = constant_concentration(dz, 1.0)
     sol = solve_transport(dz, ops.M, ops.A, ops.F, lambda s: None, 0.0,
                           TimeGrid(0.05, 2), c0)
@@ -138,7 +137,7 @@ def test_robin_wall_flux_direction(small_mesh, c_w, direction):
 
 def test_transport_reports_requested_steps(small_dz):
     ops = assemble_transport(small_dz, D=0.01, alpha=0.01, gamma_c=8.0,
-                             wall_bc="rbc", wall_data=1.0, c_in=0.0, u_h=None)
+                             wall_bc="rbc", wall_data=1.0, c_in=0.0)
     c0 = constant_concentration(small_dz, 1.0)
     sol = solve_transport(small_dz, ops.M, ops.A, ops.F, lambda s: None, 0.0,
                           TimeGrid(0.7, 40), c0, report_steps=(10, 20, 30, 40))
@@ -205,7 +204,7 @@ def test_transport_ordering_matches_default_splu(preset):
     flow = solve_flow(dz, assemble_flow(dz, cfg.mu, cfg.rho, cfg.gamma_u,
                                         inflow_profile(cfg, params)), grid)
     ops = assemble_transport(dz, cfg.diffusion, cfg.alpha, cfg.gamma_c,
-                             cfg.bc_kind, cfg.wall_data(), cfg.c_in, None)
+                             cfg.bc_kind, cfg.wall_data(), cfg.c_in)
     c0 = constant_concentration(dz, cfg.c_0)
     steps = range(1, grid.n_steps + 1)
     sol = solve_transport(dz, ops.M, ops.A, ops.F, flow.velocity_at, cfg.c_in,
@@ -238,7 +237,7 @@ def test_transport_residual_check(small_dz, monkeypatch):
             return 1.001 * self.lu.solve(rhs)
 
     ops = assemble_transport(small_dz, D=0.01, alpha=0.01, gamma_c=8.0,
-                             wall_bc="rbc", wall_data=1.0, c_in=0.0, u_h=None)
+                             wall_bc="rbc", wall_data=1.0, c_in=0.0)
     u1 = np.tile([0.5, 0.0], 3 * small_dz.mesh.n_cells)
     u2 = 2.0 * u1
     monkeypatch.setattr(fine_solver, "splu", Broken)
@@ -264,7 +263,7 @@ def test_transport_refinement_falls_back_to_own_factorization(small_dz,
         return splu(K, **kw)
 
     ops = assemble_transport(small_dz, D=0.001, alpha=0.01, gamma_c=8.0,
-                             wall_bc="rbc", wall_data=1.0, c_in=0.0, u_h=None)
+                             wall_bc="rbc", wall_data=1.0, c_in=0.0)
     u2 = np.tile([2.0, 0.0], 3 * small_dz.mesh.n_cells)
     u1 = -u2
     velocity_at = lambda s: u1 if s < 3 else u2

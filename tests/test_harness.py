@@ -314,6 +314,24 @@ def test_load_config_rejects_bad_values(tmp_path, name, value):
         load_config(path)
 
 
+@pytest.mark.parametrize("lists", [dict(mu_list=(0, 2)), dict(mu_list=(-1, 2)),
+                                   dict(mc_list=(0, 1))])
+def test_basis_sizes_below_one_fail_before_the_fine_phase(monkeypatch, tmp_path, lists):
+    (name,) = lists
+    cfg = _tiny_cfg(**lists)
+    with pytest.raises(ValueError, match=name):
+        cfg.validate()
+    path = tmp_path / "cfg.ini"
+    save_config(cfg, path)
+    with pytest.raises(ValueError, match=name):
+        load_config(path)
+    calls = []
+    monkeypatch.setattr(harness, "generate_channel", lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match=name):
+        run_experiment(cfg)
+    assert calls == []
+
+
 def test_load_config_accepts_what_the_builders_accept(tmp_path):
     path = tmp_path / "cfg.ini"
     save_config(_tiny_cfg(velocity_type="Type1", concentration_type="TYPE2",

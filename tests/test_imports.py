@@ -1,11 +1,18 @@
-"""Every imported name in src/ and tests/ is used, and every function and
-class in src/ is referenced in src/.  No linter is installed, so the checks
-parse each module with the standard library's ast."""
+"""Every imported name in src/ and tests/ is used, every function and class
+in src/ is referenced in src/, and no parameter of a src/ function takes one
+value at every call.  No linter is installed, so the checks parse each module
+with the standard library's ast."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def parsed(folder):
+    for path in sorted((ROOT / folder).rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
 
 
 def unused_imports(path):
@@ -52,3 +59,67 @@ def test_no_dead_api():
     dead = [f"{where}: {name}" for where, name in defined
             if name not in referenced | set(OUTSIDE_API) and not name.startswith("__")]
     assert dead == []
+
+
+# "function(parameter)": why it keeps a parameter that takes one value
+SINGLE_VALUED = {}
+
+
+def _literal(node):
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None  # not a literal: may differ between calls
+
+
+def test_no_single_valued_parameters():
+    """No parameter of a function defined once in src/ is left at its default
+    by every call, or passed the same literal by every call, where the calls
+    are those by name in src/ and tests/.  A function with a call that
+    forwards *args or **kw is skipped."""
+    defs, methods = [], set()
+    for _, tree in parsed("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                defs.append(node)
+            elif isinstance(node, ast.ClassDef):
+                methods |= {f for f in node.body if isinstance(f, ast.FunctionDef)
+                            and not any(getattr(d, "id", None) == "staticmethod"
+                                        for d in f.decorator_list)}
+    names = Counter(fn.name for fn in defs)
+    calls = {fn.name: [] for fn in defs if names[fn.name] == 1}
+    for folder in ("src", "tests"):
+        for _, tree in parsed(folder):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in calls:
+                        calls[name].append(node)
+    found = []
+    for fn in defs:
+        sites = calls.get(fn.name)
+        if not sites or any(isinstance(a, ast.Starred) for c in sites for a in c.args) \
+                or any(k.arg is None for c in sites for k in c.keywords):
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        positional = positional[1:] if fn in methods else positional
+        defaults = dict(zip([p.arg for p in positional][::-1], fn.args.defaults[::-1]))
+        defaults |= {p.arg: d for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                     if d is not None}
+        for k, param in enumerate(p.arg for p in positional + fn.args.kwonlyargs):
+            values = set()
+            for c in sites:
+                passed = {kw.arg: kw.value for kw in c.keywords}
+                if k < len(positional) and k < len(c.args):
+                    values.add(_literal(c.args[k]))
+                elif param in passed:
+                    values.add(_literal(passed[param]))
+                elif param in defaults:
+                    values.add(_literal(defaults[param]) or "its default")
+                else:  # a call to another function of the same name
+                    values.add(None)
+            if len(values) == 1 and None not in values \
+                    and f"{fn.name}({param})" not in SINGLE_VALUED:
+                found.append(f"{fn.name}({param}) is {values.pop()} at all "
+                             f"{len(sites)} calls")
+    assert found == []

@@ -1,11 +1,20 @@
 """Mesh generation, boundary classification, coarse partitioning, file IO."""
 
+import importlib.util
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from channelms import cli
 from channelms.mesh import (ChannelParams, FacetMarker, generate_channel,
                             partition_coarse, read_mesh, write_mesh)
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 channel_params = st.builds(
     ChannelParams,
@@ -188,3 +197,62 @@ def test_pinch_guard():
     with pytest.raises(ValueError, match="amplitude"):
         ChannelParams(length=5.0, half_width=0.1, profile="sinusoidal",
                       amplitude=0.12, target_h=0.05).validate()
+
+
+def _topology_cases():
+    """Every preset, and every benchmark workload at seeds 0-9, as one case per
+    distinct (channel, n_domains, partition mode, seed): the seed reaches the
+    topology only through an unstructured partition."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # for its dataclasses
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    configs = [(name, cli.load_preset(name)) for name in cli.preset_names()]
+    configs += [(f"{w.name}-seed{seed}",
+                 replace(cli.load_preset(w.preset), **w.overrides, seed=seed))
+                for w in workloads.WORKLOADS.values() for seed in range(10)]
+    cases = {}
+    for name, cfg in configs:
+        seed = cfg.seed if cfg.partition_mode == "unstructured" else 0
+        key = (cfg.channel_params(), cfg.n_domains, cfg.partition_mode, seed)
+        cases.setdefault(key, name)
+    return [pytest.param(*key, id=name) for key, name in cases.items()]
+
+
+def _assert_topology_matches_loops(params, n_domains, mode, seed):
+    """The mesh and partition equal the per-element loop oracles bitwise,
+    dtypes included."""
+    def same(got, want):
+        return got.dtype == want.dtype and np.array_equal(got, want)
+
+    mesh = generate_channel(params)
+    nodes, cells, facets, facet_cells, marker, h = oracles.channel_by_loops(params)
+    assert same(mesh.nodes, nodes) and same(mesh.cells, cells)
+    assert same(mesh.facets, facets) and same(mesh.facet_cells, facet_cells)
+    assert same(mesh.facet_marker, marker) and mesh.h == h
+    part = partition_coarse(mesh, n_domains, mode=mode, seed=seed)
+    assert same(part.cell_to_domain,
+                oracles.partition_by_loops(mesh, n_domains, mode, seed))
+    return mesh, part
+
+
+@pytest.mark.parametrize("params,n_domains,mode,seed", _topology_cases())
+def test_topology_matches_loop_oracles(params, n_domains, mode, seed):
+    _assert_topology_matches_loops(params, n_domains, mode, seed)
+
+
+def test_slab_repair_matches_loops_and_connects_every_domain():
+    # at n_cells // 20 domains the slabs are thinner than a quad column, and
+    # the repair reassigns 960 of the 2928 cells
+    params = replace(cli.load_preset("test1_rbc").channel_params(), target_cells=3000)
+    n_domains = generate_channel(params).n_cells // 20
+    mesh, part = _assert_topology_matches_loops(params, n_domains, "structured", 0)
+    assert n_domains == 146
+    assert not np.array_equal(part.cell_to_domain,
+                              oracles.slab_assignment(mesh, n_domains))
+    adj = oracles.cell_adjacency_lists(mesh)
+    for i in range(n_domains):
+        assert len(oracles.components_by_dfs(part.domain_cells(i), adj)) == 1
